@@ -301,6 +301,8 @@ def _cmd_synthesize(args) -> int:
 
 def _cmd_gm_info(args) -> int:
     clones_list = _parse_int_list(args.clones, "clones")
+    if args.mps_out and len(clones_list) > 1:
+        raise ConfigError("mps-out: holds one chain, so it needs exactly one clone count")
     qubit = _parse_input_qubit(args.input_qubit)
     rows = []
     for m in clones_list:

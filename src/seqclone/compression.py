@@ -5,9 +5,10 @@ target state:
 
 * :func:`svd_truncate_mps` — one pass of per-bond Schmidt truncation (the
   Frobenius-optimal local move at each cut),
-* :func:`variational_compress` — alternating least-squares sweeps that solve
-  the exact local normal equations site by site until the squared distance
-  stops decreasing.
+* :func:`variational_compress` — alternating least-squares sweeps in
+  mixed-canonical gauge: the trial chain is kept orthonormal around one
+  site, whose optimal tensor is then a projection of the target, until the
+  squared distance stops decreasing.
 
 Fidelity is the modulus of the state overlap, so it is invariant under
 global phases on either argument.
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import linalg, mps as mps_mod
 from .cloning import GMSpec, gm_state
-from .errors import CanonicalFormError, ResourceLimitError, StructureError
+from .errors import CanonicalFormError, ResourceLimitError, StructureError, check_fidelity
 from .mps import MatrixProductState
 
 METHOD_SVD = "svd_truncation"
@@ -31,9 +32,6 @@ METHODS = (METHOD_SVD, METHOD_VARIATIONAL, METHOD_VARIATIONAL_SEEDED)
 
 #: Largest register handled by dense construction in scans.
 MAX_SCAN_QUBITS = 15
-
-_RIDGE = 1e-12
-_PAD_NOISE = 1e-8
 
 
 @dataclass
@@ -47,12 +45,10 @@ class FidelityReport:
     bond_cap: int
     qubits: int
     converged: bool = True
-    regularized_solves: int = 0
     sweep_errors: list[float] = dc_field(default_factory=list)
 
     def __post_init__(self):
-        if not -1e-12 <= self.fidelity <= 1.0 + 1e-12:
-            raise ValueError(f"fidelity out of range: {self.fidelity!r}")
+        check_fidelity(self.fidelity)
         if abs(self.error - (1.0 - self.fidelity)) > 1e-12:
             raise ValueError("error field must equal 1 - fidelity")
 
@@ -170,13 +166,9 @@ def svd_truncate_mps(
     return truncated, report
 
 
-def _capped_bond_profile(n: int, bond_cap: int) -> list[int]:
-    """Bond dimensions ``min(cap, 2^min(c, n-c))`` for cuts ``c = 0..n``."""
-    return [min(bond_cap, 2 ** min(c, n - c)) for c in range(n + 1)]
-
-
 def _random_trial(n: int, bond_cap: int, rng: np.random.Generator) -> MatrixProductState:
-    bonds = _capped_bond_profile(n, bond_cap)
+    """Random chain with bond ``min(cap, 2^min(c, n-c))`` at cut ``c``, normalized."""
+    bonds = [min(bond_cap, 2 ** min(c, n - c)) for c in range(n + 1)]
     sites = []
     for k in range(n):
         shape = (2, bonds[k], bonds[k + 1])
@@ -186,120 +178,75 @@ def _random_trial(n: int, bond_cap: int, rng: np.random.Generator) -> MatrixProd
     return trial
 
 
-def _pad_to_profile(
-    m: MatrixProductState, bond_cap: int, rng: np.random.Generator
-) -> MatrixProductState:
-    """Zero-pad the bonds up to the capped profile, with a whiff of noise.
+def _shift_centre(sites: list[np.ndarray], k: int, step: int) -> None:
+    """Turn site ``k`` into an isometry by QR and carry the rest to ``k + step``.
 
-    Plain zero padding would leave the new directions permanently dead in an
-    alternating-least-squares sweep (their environments vanish identically),
-    so the padding is seeded with a tiny deterministic perturbation and the
-    caller guards against any resulting loss.
+    ``step = +1`` leaves site ``k`` left-orthonormal, ``step = -1``
+    right-orthonormal (``sum_i X^i X^i{dagger} = 1``); the chain still
+    represents the same state.  Tensors are replaced, never written into.
     """
-    n = m.n_qubits
-    bonds = _capped_bond_profile(n, bond_cap)
-    out = _absorb_boundaries(m)
-    sites = []
-    for k, t in enumerate(out.sites):
-        lw, rw = bonds[k], bonds[k + 1]
-        if (lw, rw) == (t.shape[1], t.shape[2]):
-            sites.append(t)
-            continue
-        scale = _PAD_NOISE * max(1e-300, float(np.max(np.abs(t))))
-        padded = scale * (
-            rng.standard_normal((2, lw, rw)) + 1j * rng.standard_normal((2, lw, rw))
-        )
-        padded[:, : t.shape[1], : t.shape[2]] = t
-        sites.append(padded)
-    return MatrixProductState(sites=sites)
-
-
-def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Solve ``gram @ x = rhs`` columnwise; ridge-regularize a singular Gram."""
-    try:
-        if np.linalg.cond(gram) < 1e14:
-            return np.linalg.solve(gram, rhs), False
-    except np.linalg.LinAlgError:
-        pass
-    return np.linalg.solve(gram + _RIDGE * np.eye(gram.shape[0]), rhs), True
+    two, lw, rw = sites[k].shape
+    if step > 0:
+        q, r = np.linalg.qr(sites[k].reshape(two * lw, rw))
+        sites[k] = q.reshape(two, lw, -1)
+        sites[k + 1] = np.einsum("sr,irt->ist", r, sites[k + 1])
+    else:
+        q, r = np.linalg.qr(sites[k].transpose(1, 0, 2).reshape(lw, two * rw).conj().T)
+        sites[k] = q.conj().T.reshape(-1, two, rw).transpose(1, 0, 2)
+        sites[k - 1] = np.einsum("ilr,sr->ils", sites[k - 1], r.conj())
 
 
 class _SweepWorkspace:
-    """Environments and local solves for one alternating-least-squares run.
+    """Mixed-canonical single-site sweeps of a trial chain against a target.
 
-    Conventions (trivial boundaries assumed on both chains): with ``a_p`` the
-    left partial products of the trial chain and ``b_q`` the right ones,
-
-    * ``lgram[l, l'] = sum_p conj(a_p[l]) a_p[l']``         (Hermitian PSD)
-    * ``rgram[r, r'] = sum_q conj(b_q[r]) b_q[r']``
-    * ``lmix``/``rmix`` pair the conjugated trial chain with the target chain.
-
-    The stationarity condition of the local quadratic problem at site ``k``
-    reads ``lgram @ X^i @ rgram.T = rhs^i`` for each physical index ``i``.
+    Both chains have trivial boundaries and the target is normalized.  The
+    trial enters right-canonical (sites ``1..n-1`` right-orthonormal) and the
+    orthogonality centre travels with the update, so every site left of the
+    centre is left-orthonormal and every site right of it right-orthonormal.
+    ``lmix[k]``/``rmix[k]`` pair the conjugated trial chain left/right of
+    site ``k`` with the target chain.  With orthonormal environments the
+    local least-squares problem is solved by the projection
+    ``X = lmix[k] T_k rmix[k]``, and ``||t - s||^2 = 1 - ||X||^2`` after it.
     """
 
     def __init__(self, target_sites, trial_sites):
         self.ts = target_sites
-        self.xs = trial_sites
+        self.xs = list(trial_sites)
         self.n = len(trial_sites)
-        self.regularized = 0
+        one = np.ones((1, 1), dtype=np.complex128)
+        self.lmix = [one] * self.n
+        self.rmix = [one] * self.n
+        for k in range(self.n - 1, 0, -1):
+            self._extend_rmix(k)
 
-    def _left_pass_envs(self):
-        lmix = [np.ones((1, 1), dtype=np.complex128)]
-        lgram = [np.ones((1, 1), dtype=np.complex128)]
-        for k in range(self.n - 1):
-            lmix.append(sum(self.xs[k][i].conj().T @ lmix[k] @ self.ts[k][i] for i in range(2)))
-            lgram.append(sum(self.xs[k][i].conj().T @ lgram[k] @ self.xs[k][i] for i in range(2)))
-        return lmix, lgram
-
-    def _right_pass_envs(self):
-        rmix = [None] * self.n
-        rgram = [None] * self.n
-        mix = np.ones((1, 1), dtype=np.complex128)
-        gram = np.ones((1, 1), dtype=np.complex128)
-        for k in range(self.n - 1, -1, -1):
-            rmix[k], rgram[k] = mix, gram
-            if k:
-                mix = sum(self.xs[k][i].conj() @ mix @ self.ts[k][i].T for i in range(2))
-                gram = sum(self.xs[k][i].conj() @ gram @ self.xs[k][i].T for i in range(2))
-        return rmix, rgram
-
-    def solve_site(self, k, lmix, lgram, rmix, rgram) -> float:
-        """Exact local solve at site ``k``; returns ``||t - s||^2`` after it."""
-        rhs = np.einsum("lt,itu,ru->ilr", lmix, self.ts[k], rmix, optimize=True)
-        two, lw, rw = self.xs[k].shape
-        y, reg_left = _solve_gram(lgram, rhs.transpose(1, 0, 2).reshape(lw, two * rw))
-        y = y.reshape(lw, two, rw).transpose(1, 0, 2)
-        # X^i @ rgram.T = Y^i  =>  X^i = solve(rgram, Y^i.T).T  (columnwise)
-        z, reg_right = _solve_gram(rgram, y.reshape(two * lw, rw).T)
-        self.xs[k] = z.T.reshape(two, lw, rw)
-        if reg_left or reg_right:
-            self.regularized += 1
-        x = self.xs[k]
-        overlap_st = complex(np.einsum("ilr,ilr->", x.conj(), rhs, optimize=True))
-        norm_ss = complex(
-            np.einsum("ilr,lm,ims,rs->", x.conj(), lgram, x, rgram, optimize=True)
+    def _extend_rmix(self, k):
+        self.rmix[k - 1] = sum(
+            self.xs[k][i].conj() @ self.rmix[k] @ self.ts[k][i].T for i in range(2)
         )
-        return 1.0 - 2.0 * overlap_st.real + norm_ss.real
+
+    def _update(self, k, step) -> float:
+        """Project site ``k``, then move the centre one site by ``step``."""
+        x = np.einsum(
+            "lt,itu,ru->ilr", self.lmix[k], self.ts[k], self.rmix[k], optimize=True
+        )
+        self.xs[k] = x
+        if 0 <= k + step < self.n:
+            _shift_centre(self.xs, k, step)
+            if step > 0:
+                self.lmix[k + 1] = sum(
+                    self.xs[k][i].conj().T @ self.lmix[k] @ self.ts[k][i] for i in range(2)
+                )
+            else:
+                self._extend_rmix(k)
+        return 1.0 - float(np.vdot(x, x).real)
 
     def sweep(self) -> float:
         """One left-to-right plus right-to-left pass; returns final ``||t-s||^2``."""
-        err = np.inf
-        rmix, rgram = self._right_pass_envs()
-        lmix = np.ones((1, 1), dtype=np.complex128)
-        lgram = np.ones((1, 1), dtype=np.complex128)
         for k in range(self.n):
-            err = self.solve_site(k, lmix, lgram, rmix[k], rgram[k])
-            lmix = sum(self.xs[k][i].conj().T @ lmix @ self.ts[k][i] for i in range(2))
-            lgram = sum(self.xs[k][i].conj().T @ lgram @ self.xs[k][i] for i in range(2))
-        lmix_all, lgram_all = self._left_pass_envs()
-        rmix = np.ones((1, 1), dtype=np.complex128)
-        rgram = np.ones((1, 1), dtype=np.complex128)
+            err = self._update(k, +1)
         for k in range(self.n - 1, -1, -1):
-            err = self.solve_site(k, lmix_all[k], lgram_all[k], rmix, rgram)
-            rmix = sum(self.xs[k][i].conj() @ rmix @ self.ts[k][i].T for i in range(2))
-            rgram = sum(self.xs[k][i].conj() @ rgram @ self.xs[k][i].T for i in range(2))
-        return float(err)
+            err = self._update(k, -1)
+        return err
 
 
 def variational_compress(
@@ -307,13 +254,14 @@ def variational_compress(
 ) -> tuple[MatrixProductState, FidelityReport]:
     """Alternating least-squares minimization of ``||target - trial||^2``.
 
-    Site by site, all tensors but one are frozen and the local quadratic
-    problem is solved exactly through its normal equations; the Gram matrix
-    factorizes over the left/right environments, so each site needs only two
-    small Hermitian solves.  One sweep is a left-to-right then right-to-left
-    pass; sweeping stops once the squared-distance decrease per sweep falls
-    below ``convergence_tol``.  The trial is normalized once at the end and
-    the report carries ``1 - |<target|trial>|``.
+    Single-site sweeps in mixed-canonical gauge (Schollwoeck, Ann. Phys. 326,
+    96 (2011), on compressing matrix-product states): all tensors but one
+    are frozen, and with the frozen ones kept orthonormal by QR the exact
+    local optimum is a projection of the target onto the environments, with
+    no linear system to solve.  One sweep is a left-to-right then
+    right-to-left pass; sweeping stops once the squared-distance decrease per
+    sweep falls below ``convergence_tol``.  The trial is normalized once at
+    the end and the report carries ``1 - |<target|trial>|``.
 
     When seeded, the sweep starts from the per-bond truncated state and the
     result is guaranteed not to be worse than that seed.
@@ -324,11 +272,11 @@ def variational_compress(
     nrm = mps_mod.norm(target)
     if abs(nrm - 1.0) > 1e-10:
         target.sites[0] = target.sites[0] / nrm
-    if target.left_orthonormality_defect() > 1e-8:
-        # densify-on-demand re-canonicalization for arbitrary-gauge inputs
-        target = mps_mod.from_statevector(mps_mod.to_statevector(target), 0.0)
     n = target.n_qubits
-    rng = np.random.default_rng(req.seed)
+    if target.left_orthonormality_defect() > 1e-8:
+        for k in range(n - 1):
+            _shift_centre(target.sites, k, +1)
+        target.canonical = True
 
     seed_report = None
     if req.method == METHOD_VARIATIONAL_SEEDED:
@@ -338,10 +286,12 @@ def variational_compress(
                 bond_cap=req.bond_cap, qubits=n,
             )
             return target.copy(), report
-        seeded, seed_report = svd_truncate_mps(target, req.bond_cap)
-        trial = _pad_to_profile(seeded, req.bond_cap, rng)
+        # per-bond truncation leaves sites 1..n-1 right-orthonormal
+        trial, seed_report = svd_truncate_mps(target, req.bond_cap)
     else:
-        trial = _random_trial(n, req.bond_cap, rng)
+        trial = _random_trial(n, req.bond_cap, np.random.default_rng(req.seed))
+        for k in range(n - 1, 0, -1):
+            _shift_centre(trial.sites, k, -1)
 
     work = _SweepWorkspace(target.sites, trial.sites)
     sweep_errors: list[float] = []
@@ -353,13 +303,12 @@ def variational_compress(
             converged = True
             break
 
-    out = MatrixProductState(sites=[t.copy() for t in work.xs])
+    out = MatrixProductState(sites=work.xs)
     out.sites[0] = out.sites[0] / mps_mod.norm(out)
     f = min(1.0, abs(mps_mod.overlap(target, out)))
     if seed_report is not None and 1.0 - f > seed_report.error:
-        # the sweep never beat its seed; hand the seed back
-        out, _ = svd_truncate_mps(target, req.bond_cap)
-        f = seed_report.fidelity
+        # the sweep never beat its seed (left intact by the workspace); hand it back
+        out, f = trial, seed_report.fidelity
     report = FidelityReport(
         fidelity=f,
         error=1.0 - f,
@@ -368,7 +317,6 @@ def variational_compress(
         bond_cap=req.bond_cap,
         qubits=n,
         converged=converged,
-        regularized_solves=work.regularized,
         sweep_errors=sweep_errors,
     )
     return out, report

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types and the fidelity range check shared across the package.
 
 Plain ``ValueError`` is used for ordinary argument validation; the classes
 here mark failure modes callers may want to handle separately.
@@ -22,3 +22,9 @@ class NumericalFailure(RuntimeError):
 
 class ResourceLimitError(RuntimeError):
     """Requested problem size exceeds the configured dense-simulation cap."""
+
+
+def check_fidelity(value: float) -> None:
+    """Reject a reported fidelity outside ``[0, 1]`` beyond rounding (1e-12)."""
+    if not -1e-12 <= value <= 1.0 + 1e-12:
+        raise ValueError(f"fidelity out of range: {value!r}")

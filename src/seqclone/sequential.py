@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import StructureError
+from .errors import StructureError, check_fidelity
 from .linalg import hermitian_expm
 
 PAULI = (
@@ -140,6 +140,7 @@ class SynthesisResult:
     cost_history: list[float] = dc_field(default_factory=list)
 
     def __post_init__(self):
+        check_fidelity(self.fidelity)
         if abs(self.cost - 2.0 * (1.0 - self.fidelity)) > 1e-12:
             raise ValueError("cost field must equal 2 (1 - fidelity)")
 
@@ -195,22 +196,30 @@ def _apply_pair_gate(joint: np.ndarray, gate: np.ndarray, k: int, n: int) -> np.
     return np.einsum("aibj,bhjl->ahil", g, t).reshape(-1)
 
 
-def _apply_ancilla_gate(joint: np.ndarray, gate: np.ndarray) -> np.ndarray:
-    t = joint.reshape(2, -1)
-    return (gate @ t).reshape(-1)
+def _step_gate(coupling, model=COUPLING_XXZ, aux_angles=None) -> np.ndarray:
+    """Pair unitary of one step, ancilla first.
+
+    ``coupling`` is ``(h1, h2)`` for XXZ or the 16 entries of a general
+    coupling table; ``aux_angles``, when given, holds the ancilla then the
+    qubit ZYZ angles of the local rotations applied before the entangler.
+    """
+    if model == COUPLING_XXZ:
+        u = xxz_unitary(coupling[0], coupling[1])
+    else:
+        table = GeneralCoupling(np.reshape(coupling, (4, 4)))
+        u = hermitian_expm(general_hamiltonian(table), 1.0)
+    if aux_angles is not None:
+        u = u @ np.kron(euler_zyz(*aux_angles[:3]), euler_zyz(*aux_angles[3:]))
+    return u
 
 
-def _step_unitaries(schedule: CouplingSchedule) -> list[np.ndarray]:
-    """Per-step pair unitaries with the aux rotations folded in."""
-    ops = []
-    for k, step in enumerate(schedule.steps):
-        u = xxz_unitary(step.h1, step.h2)
-        if schedule.aux_enabled:
-            u = u @ np.kron(
-                euler_zyz(*schedule.aux_ancilla[k]), euler_zyz(*schedule.aux_qubit[k])
-            )
-        ops.append(u)
-    return ops
+def _evolve(gates, n: int, phi_initial=(1.0, 0.0)) -> np.ndarray:
+    """Apply ``gates[k - 1]`` to (ancilla, qubit ``k``) of ``phi_initial (x) |0...0>``."""
+    joint = np.zeros(2 ** (n + 1), dtype=np.complex128)
+    joint[0], joint[2**n] = phi_initial
+    for k, gate in enumerate(gates, start=1):
+        joint = _apply_pair_gate(joint, gate, k, n)
+    return joint
 
 
 def sequential_generate(schedule: CouplingSchedule, n: int) -> np.ndarray:
@@ -224,15 +233,15 @@ def sequential_generate(schedule: CouplingSchedule, n: int) -> np.ndarray:
         raise ValueError(
             f"schedule has {len(schedule.steps)} steps but the register has {n} qubits"
         )
-    joint = np.zeros(2 ** (n + 1), dtype=np.complex128)
-    joint[0], joint[2**n] = schedule.phi_initial
+    phi = schedule.phi_initial
+    angles = [None] * n
     if schedule.aux_enabled:
-        joint = _apply_ancilla_gate(joint, euler_zyz(*schedule.aux_ancilla_initial))
-    for k, gate in enumerate(_step_unitaries(schedule), start=1):
-        joint = _apply_pair_gate(joint, gate, k, n)
+        angles = np.hstack([schedule.aux_ancilla, schedule.aux_qubit])
+    gates = [_step_gate((s.h1, s.h2), aux_angles=a) for s, a in zip(schedule.steps, angles)]
     if schedule.aux_enabled:
-        joint = _apply_ancilla_gate(joint, euler_zyz(*schedule.aux_ancilla_final))
-    return joint
+        phi = euler_zyz(*schedule.aux_ancilla_initial) @ phi
+        gates[-1] = np.kron(euler_zyz(*schedule.aux_ancilla_final), PAULI[0]) @ gates[-1]
+    return _evolve(gates, n, phi)
 
 
 def fidelity_vs_target(joint: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -291,36 +300,16 @@ class _CostEngine:
         return self.n * self.block_size
 
     def step_gate(self, block_row):
-        coup = block_row[: self.nstep]
-        if self.model == COUPLING_XXZ:
-            u = xxz_unitary(coup[0], coup[1])
-        else:
-            u = hermitian_expm(general_hamiltonian(GeneralCoupling(coup.reshape(4, 4))), 1.0)
-        if self.aux:
-            aang = block_row[self.nstep: self.nstep + 3]
-            qang = block_row[self.nstep + 3:]
-            u = u @ np.kron(euler_zyz(*aang), euler_zyz(*qang))
-        return u
+        aux_angles = block_row[self.nstep:] if self.aux else None
+        return _step_gate(block_row[: self.nstep], self.model, aux_angles)
 
     def generate(self, params):
         rows = params.reshape(self.n, self.block_size)
-        joint = np.zeros(2 ** (self.n + 1), dtype=np.complex128)
-        joint[0] = 1.0
-        for k in range(1, self.n + 1):
-            joint = _apply_pair_gate(joint, self.step_gate(rows[k - 1]), k, self.n)
-        return joint
+        return _evolve([self.step_gate(r) for r in rows], self.n)
 
     def cost(self, params):
         f, _ = fidelity_vs_target(self.generate(params), self.target)
         return 2.0 * (1.0 - f)
-
-    def _prefix_state(self, rows, k):
-        """Joint state after steps ``1..k-1``."""
-        joint = np.zeros(2 ** (self.n + 1), dtype=np.complex128)
-        joint[0] = 1.0
-        for j in range(1, k):
-            joint = _apply_pair_gate(joint, self.step_gate(rows[j - 1]), j, self.n)
-        return joint
 
     def _suffix_bras(self, rows, k):
         """Rows ``a``: ``(U_n ... U_{k+1})^dagger (|a> (x) target)``."""
@@ -342,7 +331,7 @@ class _CostEngine:
         """
         rows = params.reshape(self.n, self.block_size)
         hi, lo = 2 ** (self.n - k), 2 ** (k - 1)
-        prefix = self._prefix_state(rows, k).reshape(2, hi, 2, lo)
+        prefix = _evolve([self.step_gate(r) for r in rows[: k - 1]], self.n).reshape(2, hi, 2, lo)
         suffix = self._suffix_bras(rows, k).conj().reshape(2, 2, hi, 2, lo)
         env = np.einsum("wbhjl,ahil->wbjai", suffix, prefix, optimize=True).reshape(2, 16)
 
@@ -478,6 +467,7 @@ def optimize_schedule(
     _, params, history, converged = best
     joint = engine.generate(params)
     f, phi_final = fidelity_vs_target(joint, target)
+    f = min(1.0, f)  # rounding can lift an exact preparation just above 1
 
     schedule = None
     if coupling_model == COUPLING_XXZ:

@@ -70,6 +70,16 @@ class TestGmInfo:
         chain = mps_mod.from_json(dump.read_text())
         assert chain.n_qubits == 3
 
+    def test_mps_out_rejects_several_clone_counts(self, tmp_path):
+        dump = tmp_path / "chain.json"
+        code, err = run_cli([
+            "gm-info", "--clones", "2,3", "-o", str(tmp_path / "info.csv"),
+            "--mps-out", str(dump),
+        ])
+        assert code == 2
+        assert "mps-out" in err
+        assert not dump.exists()
+
     def test_rejects_large_clone_count(self, tmp_path):
         code, err = run_cli(["gm-info", "--clones", "9", "-o", str(tmp_path / "x.csv")])
         assert code == 2

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from seqclone.cloning import GMSpec, KET_PLUS
+from seqclone.cloning import GMSpec, KET_PLUS, gm_state
 from seqclone.compression import (
     CompressionRequest,
     METHOD_SVD,
@@ -207,6 +207,15 @@ class TestVariationalCompress:
         chain = MatrixProductState(sites=sites)
         dense_f = abs(overlap(target, chain)) / np.sqrt(abs(overlap(chain, chain)))
         assert abs(report.error - (1.0 - dense_f)) < 1e-8
+
+    def test_unseeded_cap4_lands_on_schmidt_floor(self):
+        # random starts on which normal-equation solves meet singular Gram
+        # matrices (seeds 3, 12) or undershoot the floor (seed 10)
+        spec = GMSpec(7, KET_PLUS)
+        floor = 1.0 - schmidt_weight_bound(gm_state(spec), spec.qubits, 4)
+        for seed in (3, 10, 12):
+            report = regularization_scan(spec, [4], [METHOD_VARIATIONAL], seed=seed)[0]
+            assert floor - 1e-10 <= report.error <= floor + 1e-6
 
     def test_request_validation(self):
         rng = np.random.default_rng(16)

@@ -12,6 +12,7 @@ from seqclone.sequential import (
     GeneralCoupling,
     PAULI,
     StepCoupling,
+    SynthesisResult,
     euler_zyz,
     fidelity_vs_target,
     general_hamiltonian,
@@ -181,6 +182,22 @@ class TestOptimizeSchedule:
         # the reported schedule regenerates the reported state
         regen = sequential_generate(res.schedule, 3)
         assert np.max(np.abs(regen - res.generated)) < 1e-12
+
+    def test_exact_preparation_reports_fidelity_at_most_one(self):
+        # this restart reaches the target to rounding; unclamped, F - 1 = 2.2e-16
+        target = gm_state(GMSpec(2, KET_PLUS))
+        res = optimize_schedule(
+            target, 3, aux=True, restarts=1, seed=3, max_sweeps=60, inner_maxfev=300
+        )
+        assert 1.0 - 1e-6 <= res.fidelity <= 1.0
+        assert res.cost >= 0.0
+
+    def test_result_rejects_fidelity_out_of_range(self):
+        with pytest.raises(ValueError, match="fidelity out of range"):
+            SynthesisResult(
+                generated=np.zeros(16), fidelity=1.5, cost=-1.0,
+                optimal_phi_final=np.zeros(2), iterations=0, restarts_used=1,
+            )
 
     def test_cost_history_monotone(self):
         target = gm_state(GMSpec(2, KET_PLUS))
