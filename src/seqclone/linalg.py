@@ -74,14 +74,6 @@ def svd(a: np.ndarray) -> SVDResult:
     return SVDResult(left=u, singulars=s, right=vh.conj().T)
 
 
-def numerical_rank(singulars: np.ndarray, rtol: float = RANK_RTOL) -> int:
-    """Number of singular values above ``rtol`` times the largest one."""
-    s = np.asarray(singulars, dtype=float)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rtol * s[0]))
-
-
 def truncate_rank(a: np.ndarray, k: int) -> np.ndarray:
     """Best Frobenius-norm rank-``k`` approximation of ``a``.
 

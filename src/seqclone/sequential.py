@@ -13,9 +13,13 @@ step.  The free final ancilla state is optimized in closed form, giving the
 cost ``2 (1 - F)`` with ``F`` the modulus of the ancilla-contracted overlap
 against a fixed target register state.
 
-Couplings are optimized by coordinate descent: one step's parameters at a
-time with a derivative-free simplex solve, sweeping back and forth until the
-cost stalls, repeated over random restarts.
+Couplings are optimized by block coordinate descent with an exact gradient:
+one step's parameters at a time by L-BFGS-B, sweeping back and forth until
+the cost stalls, then one L-BFGS-B polish of all parameters, repeated over
+random restarts.  The gradient of ``F = ||w||`` comes from the same
+environments as the cost: closed-form derivatives of the XXZ entangler and
+the ZYZ rotations, and Daleckii-Krein divided differences on the
+eigendecomposition of the general generator.
 
 Layout conventions: joint vectors are indexed ancilla-first
 (``index = a * 2**n + q``), the register index ``q`` reads ``i_n ... i_1``
@@ -25,13 +29,14 @@ with ``i_1`` least significant, and step ``k`` touches qubit ``k`` (bit
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .errors import StructureError, check_fidelity
-from .linalg import hermitian_expm
 
 PAULI = (
     np.eye(2, dtype=np.complex128),
@@ -147,11 +152,13 @@ class SynthesisResult:
 
 def euler_zyz(theta: float, phi: float, lam: float) -> np.ndarray:
     """SU(2) rotation ``Rz(phi) Ry(theta) Rz(lam)``, global phase dropped."""
-    ct, st = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    # Python scalars: this runs once per rotation per cost evaluation
+    theta, phi, lam = float(theta), float(phi), float(lam)
+    ct, st = math.cos(theta / 2.0), math.sin(theta / 2.0)
     return np.array(
         [
-            [ct * np.exp(-0.5j * (phi + lam)), -st * np.exp(-0.5j * (phi - lam))],
-            [st * np.exp(0.5j * (phi - lam)), ct * np.exp(0.5j * (phi + lam))],
+            [ct * cmath.exp(-0.5j * (phi + lam)), -st * cmath.exp(-0.5j * (phi - lam))],
+            [st * cmath.exp(0.5j * (phi - lam)), ct * cmath.exp(0.5j * (phi + lam))],
         ],
         dtype=np.complex128,
     )
@@ -183,9 +190,59 @@ def xxz_unitary(h1: float, h2: float) -> np.ndarray:
     return u
 
 
+# generators of h1 and h2; they commute, so dU/dh_j = -1j G_j U
+_XXZ_TERMS = np.array([xxz_hamiltonian(1.0, 0.0), xxz_hamiltonian(0.0, 1.0)])
+
+
 def general_hamiltonian(c: GeneralCoupling) -> np.ndarray:
     """Full two-body generator ``sum_jk c[j, k] sigma_j (x) sigma_k``."""
     return np.tensordot(c.matrix.reshape(16), _PAULI_PAIRS, axes=(0, 0))
+
+
+_HALF_Z_COL = np.array([[-0.5j], [0.5j]])
+_HALF_Z_ROW = _HALF_Z_COL.T
+
+
+def _euler_zyz_jac(angles, rot) -> np.ndarray:
+    """Derivatives of ``rot = euler_zyz(*angles)`` by theta, phi and lam."""
+    theta, phi, lam = angles
+    return np.array([
+        0.5 * euler_zyz(theta + np.pi, phi, lam),  # cos/sin(theta/2) advance a quarter turn
+        rot * _HALF_Z_COL,  # -1j Z/2 on the left
+        rot * _HALF_Z_ROW,  # -1j Z/2 on the right
+    ])
+
+
+def _kron_pair(a, b) -> np.ndarray:
+    """``np.kron(a, b)`` of 2x2 matrices, batched over leading axes.
+
+    ``np.kron`` costs several times more per call, and this runs for every
+    rotation pair of every cost evaluation.
+    """
+    k = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return k.reshape(k.shape[:-4] + (4, 4))
+
+
+def _general_entangler(coupling, jac):
+    """``exp(-1j H)`` of a general coupling table, and its 16 derivatives.
+
+    With ``jac`` the derivatives by the table entries come from
+    Daleckii-Krein on ``H = V diag(lam) V^dagger``:
+    ``dU = V ((V^dagger dH V) o D) V^dagger``, ``D`` the divided differences
+    of ``exp(-1j lam)``; otherwise the second result is None.
+    """
+    h = general_hamiltonian(GeneralCoupling(np.reshape(coupling, (4, 4))))
+    lam, v = np.linalg.eigh(h)
+    vh = v.conj().T
+    u = (v * np.exp(-1j * lam)) @ vh
+    if not jac:
+        return u, None
+    # (e^{-ia} - e^{-ib}) / (a - b) = -i e^{-i(a+b)/2} sin(d)/d, d = (a - b)/2;
+    # np.sinc(x) = sin(pi x)/(pi x) keeps this exact at a = b
+    gap = lam[:, None] - lam[None, :]
+    mean = 0.5 * (lam[:, None] + lam[None, :])
+    diff = -1j * np.exp(-1j * mean) * np.sinc(gap / (2.0 * np.pi))
+    return u, v @ ((vh @ _PAULI_PAIRS @ v) * diff) @ vh
 
 
 def _apply_pair_gate(joint: np.ndarray, gate: np.ndarray, k: int, n: int) -> np.ndarray:
@@ -196,29 +253,50 @@ def _apply_pair_gate(joint: np.ndarray, gate: np.ndarray, k: int, n: int) -> np.
     return np.einsum("aibj,bhjl->ahil", g, t).reshape(-1)
 
 
-def _step_gate(coupling, model=COUPLING_XXZ, aux_angles=None) -> np.ndarray:
+def _step_gate(coupling, model=COUPLING_XXZ, aux_angles=None, jac=False):
     """Pair unitary of one step, ancilla first.
 
     ``coupling`` is ``(h1, h2)`` for XXZ or the 16 entries of a general
     coupling table; ``aux_angles``, when given, holds the ancilla then the
     qubit ZYZ angles of the local rotations applied before the entangler.
+    With ``jac`` the result is ``(U, dU)``, ``dU[i]`` the derivative by the
+    ``i``-th parameter in the order couplings, ancilla angles, qubit angles.
     """
     if model == COUPLING_XXZ:
         u = xxz_unitary(coupling[0], coupling[1])
+        du = -1j * _XXZ_TERMS @ u if jac else None
     else:
-        table = GeneralCoupling(np.reshape(coupling, (4, 4)))
-        u = hermitian_expm(general_hamiltonian(table), 1.0)
+        u, du = _general_entangler(coupling, jac)
     if aux_angles is not None:
-        u = u @ np.kron(euler_zyz(*aux_angles[:3]), euler_zyz(*aux_angles[3:]))
-    return u
+        rot_a, rot_q = euler_zyz(*aux_angles[:3]), euler_zyz(*aux_angles[3:])
+        local = _kron_pair(rot_a, rot_q)
+        if jac:
+            du = np.concatenate([
+                du @ local,
+                u @ _kron_pair(_euler_zyz_jac(aux_angles[:3], rot_a), rot_q),
+                u @ _kron_pair(rot_a, _euler_zyz_jac(aux_angles[3:], rot_q)),
+            ])
+        u = u @ local
+    return (u, du) if jac else u
+
+
+def _trajectory(gates, n: int, phi_initial=(1.0, 0.0)):
+    """Yield ``phi_initial (x) |0...0>``, then the state after each step.
+
+    Step ``k`` applies ``gates[k - 1]`` to (ancilla, qubit ``k``).
+    """
+    joint = np.zeros(2 ** (n + 1), dtype=np.complex128)
+    joint[0], joint[2**n] = phi_initial
+    yield joint
+    for k, gate in enumerate(gates, start=1):
+        joint = _apply_pair_gate(joint, gate, k, n)
+        yield joint
 
 
 def _evolve(gates, n: int, phi_initial=(1.0, 0.0)) -> np.ndarray:
-    """Apply ``gates[k - 1]`` to (ancilla, qubit ``k``) of ``phi_initial (x) |0...0>``."""
-    joint = np.zeros(2 ** (n + 1), dtype=np.complex128)
-    joint[0], joint[2**n] = phi_initial
-    for k, gate in enumerate(gates, start=1):
-        joint = _apply_pair_gate(joint, gate, k, n)
+    """State after all ``gates`` (see :func:`_trajectory`)."""
+    for joint in _trajectory(gates, n, phi_initial):
+        pass
     return joint
 
 
@@ -270,14 +348,14 @@ def fidelity_vs_target(joint: np.ndarray, target: np.ndarray) -> tuple[float, np
 
 
 class _CostEngine:
-    """Sweep-local cost evaluation with cached environment contractions.
+    """Cost ``2 (1 - F)`` and its exact gradient, whole or one block at a time.
 
     For the block at step ``k`` only that step's pair gate changes.  The
     state after steps ``1..k-1`` and the two ancilla-labelled bras obtained
     by pulling steps ``k+1..n`` onto the target are contracted over all
     untouched indices once per block, leaving a pair of 4x4 environment
     tensors; each trial evaluation is then a gate build plus two Frobenius
-    inner products.
+    inner products, and its gradient the same products with ``dU``.
     """
 
     def __init__(self, target, n, aux, model):
@@ -299,9 +377,9 @@ class _CostEngine:
     def param_count(self):
         return self.n * self.block_size
 
-    def step_gate(self, block_row):
+    def step_gate(self, block_row, jac=False):
         aux_angles = block_row[self.nstep:] if self.aux else None
-        return _step_gate(block_row[: self.nstep], self.model, aux_angles)
+        return _step_gate(block_row[: self.nstep], self.model, aux_angles, jac)
 
     def generate(self, params):
         rows = params.reshape(self.n, self.block_size)
@@ -310,6 +388,33 @@ class _CostEngine:
     def cost(self, params):
         f, _ = fidelity_vs_target(self.generate(params), self.target)
         return 2.0 * (1.0 - f)
+
+    def cost_and_grad(self, params):
+        """Cost and gradient over all parameters in O(n) pair-gate applications.
+
+        With ``w^H dw = <chi_k, dU_k psi_{k-1}>`` for the bra
+        ``chi_k = (U_n ... U_{k+1})^dagger (w (x) target)``, one forward pass
+        keeps the states ``psi_0 .. psi_{n-1}`` and one backward pass pulls
+        ``chi`` through the steps, contracting it with each kept state.
+        """
+        n = self.n
+        gates = [self.step_gate(r, jac=True) for r in params.reshape(n, self.block_size)]
+        states = list(_trajectory([u for u, _ in gates], n))
+        w = states.pop().reshape(2, 2**n) @ self.target.conj()
+        f = float(np.linalg.norm(w))
+        grad = np.empty((n, self.block_size))
+        bra = np.kron(w, self.target)
+        for k in range(n, 0, -1):
+            u, du = gates[k - 1]
+            hi, lo = 2 ** (n - k), 2 ** (k - 1)
+            pull = np.einsum(
+                "bhjl,ahil->bjai",
+                bra.conj().reshape(2, hi, 2, lo),
+                states[k - 1].reshape(2, hi, 2, lo),
+            ).reshape(16)
+            grad[k - 1] = _cost_grad(f, pull, du)
+            bra = _apply_pair_gate(bra, u.conj().T, k, n)
+        return 2.0 * (1.0 - f), grad.reshape(-1)
 
     def _suffix_bras(self, rows, k):
         """Rows ``a``: ``(U_n ... U_{k+1})^dagger (|a> (x) target)``."""
@@ -323,11 +428,11 @@ class _CostEngine:
         return bras
 
     def block_cost_fn(self, params, k):
-        """Closure evaluating the cost as a function of step ``k``'s params.
+        """Closure giving cost and gradient as a function of step ``k``'s params.
 
         ``w_a(U) = <env_a, U>_F`` with the environments fixed, so one
-        evaluation costs a gate build plus two 16-element dot products,
-        independent of the register size.
+        evaluation costs a gate build with its derivatives plus a few
+        16-element dot products, independent of the register size.
         """
         rows = params.reshape(self.n, self.block_size)
         hi, lo = 2 ** (self.n - k), 2 ** (k - 1)
@@ -336,8 +441,10 @@ class _CostEngine:
         env = np.einsum("wbhjl,ahil->wbjai", suffix, prefix, optimize=True).reshape(2, 16)
 
         def fn(x):
-            w = env @ self.step_gate(x).reshape(16)
-            return 2.0 * (1.0 - float(np.linalg.norm(w)))
+            u, du = self.step_gate(x, jac=True)
+            w = env @ u.reshape(16)
+            f = float(np.linalg.norm(w))
+            return 2.0 * (1.0 - f), _cost_grad(f, w.conj() @ env, du)
 
         return fn
 
@@ -346,22 +453,26 @@ class _CostEngine:
         return slice(start, start + self.block_size)
 
 
-def _simplex_around(x0, spread=0.35):
-    """Initial simplex with a fixed absolute spread, robust to zero entries."""
-    dim = x0.size
-    simplex = np.tile(x0, (dim + 1, 1))
-    for i in range(dim):
-        simplex[i + 1, i] += spread
-    return simplex
+def _cost_grad(f, pull, du):
+    """Gradient of ``2 (1 - f)``, ``f = ||w||``, by the parameters of one gate.
+
+    ``pull`` holds the 16 weights with ``w^H dw = <pull, dU>`` summed over
+    entries, so ``d f = Re(w^H dw) / f``.  At ``f = 0``, where ``||w||`` has
+    no derivative, the gradient is taken as zero.
+    """
+    if f == 0.0:
+        return np.zeros(len(du))
+    return (-2.0 / f) * (du.reshape(len(du), 16) @ pull).real
 
 
 def _descend(engine: _CostEngine, params, max_sweeps, sweep_tol, inner_maxfev):
-    """Back-and-forth coordinate descent plus a joint polish.
+    """Back-and-forth block coordinate descent plus a joint polish.
 
-    Every accepted block solve lowers the cost (the simplex never loses its
-    best vertex), so the recorded per-sweep cost sequence is non-increasing.
-    Once sweeping stalls, a full-parameter simplex run refines the surviving
-    point; it is accepted only if it improves the cost.
+    Each block solve is an L-BFGS-B run on one step's parameters with
+    ``inner_maxfev`` as its ``maxfun`` budget, accepted only if it lowers
+    the cost, so the recorded per-sweep cost sequence is non-increasing.
+    After the sweeps, an L-BFGS-B run on all parameters refines the
+    surviving point; it too is accepted only if it lowers the cost.
     """
     blocks = list(range(1, engine.n + 1))
     cost = engine.cost(params)
@@ -370,19 +481,13 @@ def _descend(engine: _CostEngine, params, max_sweeps, sweep_tol, inner_maxfev):
     for _ in range(max_sweeps):
         before = cost
         for block in blocks + blocks[::-1]:
-            fn = engine.block_cost_fn(params, block)
             sl = engine.block_slice(block)
-            x0 = params[sl]
             res = minimize(
-                fn,
-                x0,
-                method="Nelder-Mead",
-                options={
-                    "xatol": 1e-13,
-                    "fatol": 1e-14,
-                    "maxfev": inner_maxfev,
-                    "initial_simplex": _simplex_around(x0),
-                },
+                engine.block_cost_fn(params, block),
+                params[sl],
+                jac=True,
+                method="L-BFGS-B",
+                options={"maxfun": inner_maxfev, "ftol": 1e-15, "gtol": 1e-12},
             )
             if res.fun < cost:
                 params[sl] = res.x
@@ -393,15 +498,11 @@ def _descend(engine: _CostEngine, params, max_sweeps, sweep_tol, inner_maxfev):
             break
     if cost > 0.0:
         res = minimize(
-            engine.cost,
+            engine.cost_and_grad,
             params,
-            method="Nelder-Mead",
-            options={
-                "xatol": 1e-13,
-                "fatol": 1e-15,
-                "maxfev": 400 * engine.param_count(),
-                "initial_simplex": _simplex_around(params, spread=0.05),
-            },
+            jac=True,
+            method="L-BFGS-B",
+            options={"maxfun": 400 * engine.param_count(), "ftol": 1e-15, "gtol": 1e-12},
         )
         if res.fun < cost:
             params = res.x
@@ -424,11 +525,19 @@ def optimize_schedule(
     """Coordinate-descent search for couplings preparing ``target``.
 
     Per sweep, every step's couplings (plus its qubit and ancilla rotation
-    angles when ``aux``) are minimized one block at a time with a
-    Nelder-Mead simplex, holding the rest fixed; sweeps run back and forth
-    until the per-sweep cost drop falls below ``sweep_tol``.  The whole
-    descent is repeated from ``restarts`` random starting points (child
-    seeds spawned from ``seed``) and the best run is returned.
+    angles when ``aux``) are minimized one block at a time by L-BFGS-B on
+    the exact gradient, holding the rest fixed; ``inner_maxfev`` is each
+    block solve's budget of cost-and-gradient evaluations (L-BFGS-B's
+    ``maxfun``, checked between iterations).  Sweeps run back and forth, at
+    most ``max_sweeps`` of them, until one lowers the cost by less than
+    ``sweep_tol`` (``sweep_tol=0`` runs all ``max_sweeps``).  A closing
+    L-BFGS-B polish of all parameters is kept only if it lowers the cost.  The whole descent is repeated from ``restarts`` random starting
+    points (child seeds spawned from ``seed``) and the best run is returned.
+
+    ``converged`` is False when the sweeps did not stall within
+    ``max_sweeps``, and also when the best fidelity is 0: there the cost
+    is flat (XXZ without ``aux`` conserves the excitation number, so it
+    never leaves ``|0...0>``) and stalling says nothing about an optimum.
 
     The closing ancilla rotation is cost-neutral here because the free final
     ancilla state is already optimized in closed form, so it is left at
@@ -485,7 +594,7 @@ def optimize_schedule(
         optimal_phi_final=phi_final,
         iterations=len(history) - 1,
         restarts_used=restarts,
-        converged=converged,
+        converged=converged and f > 0.0,
         schedule=schedule,
         cost_history=history,
     )

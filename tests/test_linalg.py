@@ -6,7 +6,6 @@ import pytest
 from seqclone.linalg import (
     complete_to_unitary,
     hermitian_expm,
-    numerical_rank,
     svd,
     truncate_rank,
 )
@@ -62,12 +61,6 @@ class TestSvd:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             svd(np.zeros((0, 3)))
-
-
-class TestNumericalRank:
-    def test_thresholding(self):
-        assert numerical_rank(np.array([1.0, 1e-5, 1e-12])) == 2
-        assert numerical_rank(np.array([0.0])) == 0
 
 
 class TestTruncateRank:

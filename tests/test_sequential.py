@@ -8,6 +8,7 @@ from seqclone.errors import StructureError
 from seqclone.linalg import hermitian_expm
 from seqclone.sequential import (
     COUPLING_GENERAL,
+    COUPLING_XXZ,
     CouplingSchedule,
     GeneralCoupling,
     PAULI,
@@ -20,6 +21,8 @@ from seqclone.sequential import (
     sequential_generate,
     xxz_hamiltonian,
     xxz_unitary,
+    _CostEngine,
+    _step_gate,
 )
 
 
@@ -171,6 +174,65 @@ class TestFidelityVsTarget:
             fidelity_vs_target(np.ones(6), np.ones(4))
 
 
+def central_difference(fn, x, h=1e-6):
+    grad = np.empty_like(x)
+    for i in range(x.size):
+        step = np.zeros_like(x)
+        step[i] = h
+        grad[i] = (fn(x + step) - fn(x - step)) / (2.0 * h)
+    return grad
+
+
+GRADIENT_MODELS = [(COUPLING_XXZ, True), (COUPLING_XXZ, False), (COUPLING_GENERAL, True)]
+GRADIENT_CASES = [(model, aux, n) for model, aux in GRADIENT_MODELS for n in (3, 5)]
+
+
+class TestGradient:
+    @staticmethod
+    def engine_and_params(model, aux, n):
+        rng = np.random.default_rng(n + 10 * aux + 100 * (model == COUPLING_GENERAL))
+        engine = _CostEngine(random_state(rng, n), n, aux, model)
+        return engine, rng.uniform(-np.pi, np.pi, engine.param_count())
+
+    @pytest.mark.parametrize("model,aux,n", GRADIENT_CASES)
+    def test_full_gradient_matches_finite_differences(self, model, aux, n):
+        engine, params = self.engine_and_params(model, aux, n)
+        cost, grad = engine.cost_and_grad(params)
+        assert abs(cost - engine.cost(params)) < 1e-14
+        assert np.max(np.abs(grad - central_difference(engine.cost, params))) < 1e-7
+
+    @pytest.mark.parametrize("model,aux,n", GRADIENT_CASES)
+    def test_block_gradient_matches_finite_differences(self, model, aux, n):
+        engine, params = self.engine_and_params(model, aux, n)
+        for k in range(1, n + 1):
+            fn = engine.block_cost_fn(params, k)
+            x = params[engine.block_slice(k)]
+            cost, grad = fn(x)
+            assert abs(cost - engine.cost(params)) < 1e-13
+            fd = central_difference(lambda y: fn(y)[0], x)
+            assert np.max(np.abs(grad - fd)) < 1e-7
+
+    @pytest.mark.parametrize("model,aux", GRADIENT_MODELS)
+    def test_gradient_path_uses_the_step_gate(self, model, aux):
+        rng = np.random.default_rng(8)
+        coupling = rng.uniform(-np.pi, np.pi, 2 if model == COUPLING_XXZ else 16)
+        angles = rng.uniform(0.0, 2.0 * np.pi, 6) if aux else None
+        u, du = _step_gate(coupling, model, angles, jac=True)
+        assert np.max(np.abs(u - _step_gate(coupling, model, angles))) <= 1e-14
+        assert du.shape == (coupling.size + (6 if aux else 0), 4, 4)
+
+    def test_zero_overlap_gives_zero_gradient(self):
+        # XXZ without aux keeps |0...0>, which the |+> cloner state misses
+        engine = _CostEngine(gm_state(GMSpec(2, KET_PLUS)), 3, False, COUPLING_XXZ)
+        params = np.random.default_rng(9).uniform(-np.pi, np.pi, engine.param_count())
+        cost, grad = engine.cost_and_grad(params)
+        assert cost == 2.0
+        assert np.all(grad == 0.0)
+        block_cost, block_grad = engine.block_cost_fn(params, 2)(params[engine.block_slice(2)])
+        assert block_cost == 2.0
+        assert np.all(block_grad == 0.0)
+
+
 class TestOptimizeSchedule:
     def test_three_qubit_target_with_aux(self):
         target = gm_state(GMSpec(2, KET_PLUS))
@@ -215,6 +277,13 @@ class TestOptimizeSchedule:
             target, 3, aux=False, restarts=2, seed=5, max_sweeps=5, inner_maxfev=100
         )
         assert 1.0 - res.fidelity >= 0.4
+
+    def test_degenerate_aux_off_run_is_not_converged(self):
+        # the flat cost stalls at once; that is no evidence of an optimum
+        target = gm_state(GMSpec(2, KET_PLUS))
+        res = optimize_schedule(target, 3, aux=False, seed=0)
+        assert 1.0 - res.fidelity == 1.0
+        assert res.converged is False
 
     def test_deterministic_for_fixed_seed(self):
         target = gm_state(GMSpec(2, KET_PLUS))
