@@ -9,8 +9,8 @@ from .cloning import (
     PureQubit,
     clone_fidelity_oracle,
     gm_coefficients,
+    gm_mps,
     gm_state,
-    symmetric_state,
 )
 from .compression import (
     CompressionRequest,

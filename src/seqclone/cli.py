@@ -29,9 +29,8 @@ import sys
 import time
 
 from . import compression, mps as mps_mod, sequential
-from .cloning import GMSpec, PureQubit, clone_fidelity_oracle, gm_coefficients, gm_state
+from .cloning import GMSpec, PureQubit, clone_fidelity_oracle, gm_coefficients, gm_mps, gm_state
 from .errors import ResourceLimitError
-from .linalg import RANK_RTOL
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -156,7 +155,7 @@ def _check_register(n: int) -> None:
 def _regularize_point(task):
     clones, cap, method, qubit_re_im, max_sweeps, tol, seed = task
     spec = GMSpec(clones, PureQubit(*qubit_re_im))
-    target = mps_mod.from_statevector(gm_state(spec), RANK_RTOL)
+    target = gm_mps(spec)
     start = time.perf_counter()
     _, report = compression.compress(
         target, cap, method, max_sweeps=max_sweeps, convergence_tol=tol, seed=seed
@@ -260,6 +259,10 @@ def _cmd_regularize(args) -> int:
     for cap in caps:
         if cap < 1:
             raise ConfigError(f"bond-caps: must be >= 1, got {cap}")
+    if args.max_sweeps < 1:
+        raise ConfigError(f"max-sweeps: must be >= 1, got {args.max_sweeps}")
+    if not args.tol > 0:
+        raise ConfigError(f"tol: must be positive, got {args.tol!r}")
     qubit_re_im = (qubit.alpha, qubit.beta)
     tasks = [
         (m, cap, method, qubit_re_im, args.max_sweeps, args.tol, args.seed)
@@ -281,6 +284,8 @@ def _cmd_synthesize(args) -> int:
         raise ConfigError(f"coupling-model: unknown model {args.coupling_model!r}")
     if args.restarts < 1:
         raise ConfigError(f"restarts: must be >= 1, got {args.restarts}")
+    if args.max_sweeps < 1:
+        raise ConfigError(f"max-sweeps: must be >= 1, got {args.max_sweeps}")
     qubit = _parse_input_qubit(args.input_qubit)
     for n in qubit_list:
         if n < 1 or n % 2 == 0:
@@ -309,7 +314,7 @@ def _cmd_gm_info(args) -> int:
         if not 1 <= m <= 8:
             raise ConfigError(f"clones: gm-info supports 1..8 clones, got {m}")
         spec = GMSpec(m, qubit)
-        chain = mps_mod.from_statevector(gm_state(spec), RANK_RTOL)
+        chain = gm_mps(spec)
         if args.mps_out:
             _write_output(mps_mod.to_json(chain) + "\n", args.mps_out)
 

@@ -1,33 +1,33 @@
 """Optimal 1 -> M symmetric-cloning target states.
 
 The cloner maps a single unknown qubit onto an entangled register of
-``2M - 1`` qubits: ``M`` approximate clones followed by ``M - 1`` anticlones.
-Statevectors are dense complex arrays indexed so that the leftmost ket label
-is the most significant bit; the clone block occupies the ``M`` leftmost
-(most significant) qubits.
-
-The output state is assembled as ``alpha * GM(|0>) + beta * GM(|1>)``, the
-linear extension of the two computational-basis outputs.  Each basis output
-is an explicit superposition of symmetrized blocks::
+``2M - 1`` qubits: ``M`` approximate clones on the leftmost (most
+significant) qubits, then ``M - 1`` anticlones.  For input
+``alpha|0> + beta|1>`` the output is ``alpha GM(|0>) + beta GM(|1>)`` with::
 
     GM(|0>) = sum_j  a_j  |(M-j) x |0>, j x |1>)_sym  (x)  ((M-j-1) x |1>, j x |0>)_sym
     GM(|1>) = sum_j  a_j  |(M-j) x |1>, j x |0>)_sym  (x)  ((M-j-1) x |0>, j x |1>)_sym
 
-with weights ``a_j = sqrt(2(M-j) / (M(M+1)))``.  The two basis outputs are
-orthogonal (their basis terms carry different total parity), so linearity
-preserves normalization exactly.
+and weights ``a_j = sqrt(2(M-j) / (M(M+1)))``; the basis outputs differ in
+total parity, so they are orthogonal and linearity preserves the norm.
+
+In this blocked order the bond index of the state's matrix-product chain
+only counts 1s (Delgado et al., PRL 98, 150502 (2007)): clone sites carry
+the 1s emitted so far, a weight matrix at the clone/anticlone cut picks
+``j`` and the input amplitude, and anticlone sites count down the 1s still
+owed.  :func:`gm_mps` is that chain in canonical form and :func:`gm_state`
+its dense expansion.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
-_NORM_TOL = 1e-12
+from . import mps as mps_mod
+from .linalg import RANK_RTOL
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class PureQubit:
 
     def __post_init__(self):
         norm_sq = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm_sq - 1.0) > _NORM_TOL:
+        if not abs(norm_sq - 1.0) <= 1e-12:  # also rejects NaN and inf
             raise ValueError(f"qubit amplitudes not normalized: |psi|^2 = {norm_sq!r}")
 
     @property
@@ -80,82 +80,71 @@ def gm_coefficients(m: int) -> np.ndarray:
     return np.sqrt(2.0 * (m - j) / (m * (m + 1.0)))
 
 
-def symmetric_state(
-    count_a: int, state_a: PureQubit, count_b: int, state_b: PureQubit
-) -> np.ndarray:
-    """Normalized equal-weight superposition of all distinct arrangements of
-    ``count_a`` qubits in ``state_a`` and ``count_b`` qubits in ``state_b``.
+def _counter_site(k: int) -> np.ndarray:
+    """Shifted identities: a count ``c`` of 1s in ``0..k`` stays ``c`` (emit 0) or becomes ``c + 1``."""
+    t = np.zeros((2, k + 1, k + 2), dtype=np.complex128)
+    t[0, :, :-1] = t[1, :, 1:] = np.eye(k + 1)
+    return t
 
-    The two states must be orthogonal, which makes the arrangements mutually
-    orthogonal and the normalization exact.
+
+def _counter_chain(spec: GMSpec) -> list[np.ndarray]:
+    """Cloner output as a chain whose bonds count 1s (not canonical).
+
+    The cut matrix maps ``j`` clone 1s to ``M - 1 - j`` anticlone 1s owed
+    (``alpha``) and ``M - j`` to ``j`` (``beta``), with weight ``a_j`` over
+    ``sqrt(C(M, j) C(M-1, j))``.  Each amplitude is one cut entry times
+    ones, so the dense expansion is exact, zeros included.
     """
-    if count_a < 0 or count_b < 0:
-        raise ValueError("copy counts must be non-negative")
-    n = count_a + count_b
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    ip = np.vdot(state_a.vector, state_b.vector)
-    if abs(ip) > _NORM_TOL:
-        raise ValueError(f"states must be orthogonal, got |<a|b>| = {abs(ip):.3e}")
-    va, vb = state_a.vector, state_b.vector
-    amps = np.zeros(2**n, dtype=np.complex128)
-    for b_positions in itertools.combinations(range(n), count_b):
-        marked = set(b_positions)
-        factors = [vb if q in marked else va for q in range(n)]
-        amps += reduce(np.kron, factors)
-    return amps / np.linalg.norm(amps)
+    m = spec.clones
+    cut = np.zeros((m + 1, m), dtype=np.complex128)
+    for j, a in enumerate(gm_coefficients(m)):
+        # rounded per block, as a product of normalized symmetric blocks is,
+        # so dense targets match that construction bit for bit
+        w = a * ((1.0 / math.sqrt(math.comb(m, j))) * (1.0 / math.sqrt(math.comb(m - 1, j))))
+        cut[j, m - 1 - j] = spec.input.alpha * w
+        cut[m - j, j] = spec.input.beta * w
+    sites = [_counter_site(k) for k in range(m)]
+    sites[-1] = np.einsum("icd,dr->icr", sites[-1], cut)
+    return sites + [_counter_site(k).transpose(0, 2, 1) for k in range(m - 2, -1, -1)]
 
 
-def _gm_basis_output(m: int, bit: int) -> np.ndarray:
-    """Cloner output for computational-basis input ``|bit>``."""
-    coeffs = gm_coefficients(m)
-    kept, flipped = (KET_ZERO, KET_ONE) if bit == 0 else (KET_ONE, KET_ZERO)
-    amps = np.zeros(2 ** (2 * m - 1), dtype=np.complex128)
-    for j in range(m):
-        clones = symmetric_state(m - j, kept, j, flipped)
-        if m > 1:
-            anticlones = symmetric_state(m - j - 1, flipped, j, kept)
-        else:
-            anticlones = np.ones(1, dtype=np.complex128)
-        amps += coeffs[j] * np.kron(clones, anticlones)
-    return amps
+def gm_mps(spec: GMSpec) -> mps_mod.MatrixProductState:
+    """Exact left-canonical chain of the cloner output, in ``O(n M^3)``.
+
+    After a right QR sweep every cut of the left SVD sweep is a Schmidt
+    decomposition, so the bonds are those of ``from_statevector(gm_state(spec), RANK_RTOL)``.
+    """
+    sites = _counter_chain(spec)
+    for k in range(len(sites) - 1, 0, -1):
+        mps_mod.shift_centre(sites, k, -1)
+    for k in range(len(sites) - 1):
+        sites[k], carry = mps_mod.split_site(sites[k].transpose(1, 0, 2), RANK_RTOL)
+        sites[k + 1] = np.einsum("lr,irt->ilt", carry, sites[k + 1])
+    return mps_mod.MatrixProductState(sites=sites, canonical=True)
 
 
 def gm_state(spec: GMSpec) -> np.ndarray:
     """Dense ``2M - 1`` qubit output state of the optimal symmetric cloner.
 
-    Linear in the input amplitudes; reduces to the pure basis outputs for
-    ``|0>`` and ``|1>`` inputs.  For ``M = 1`` the output is the input qubit
-    itself.
+    Expanded from the counter chain before canonicalization, so amplitudes
+    that vanish are exactly zero.  For ``M = 1`` it is the input qubit.
     """
-    return (
-        spec.input.alpha * _gm_basis_output(spec.clones, 0)
-        + spec.input.beta * _gm_basis_output(spec.clones, 1)
-    )
-
-
-def reduced_qubit_density(state: np.ndarray, qubit_axis: int, n: int) -> np.ndarray:
-    """2x2 reduced density matrix of one qubit of an ``n``-qubit pure state.
-
-    ``qubit_axis`` counts from the left (most significant) ket label.
-    """
-    tensor = np.asarray(state, dtype=np.complex128).reshape((2,) * n)
-    rest = np.moveaxis(tensor, qubit_axis, 0).reshape(2, -1)
-    return rest @ rest.conj().T
+    return mps_mod.to_statevector(mps_mod.MatrixProductState(sites=_counter_chain(spec)))
 
 
 def clone_fidelity_oracle(spec: GMSpec, clone_index: int) -> float:
-    """Clone quality ``<psi| rho_clone |psi>`` from a brute-force partial trace.
+    """Clone quality ``<psi| rho_clone |psi>`` of the exact cloner output.
 
-    ``clone_index`` runs from 1 to ``M`` over the clone block; symmetry makes
-    the value independent of the index.  This densely traces out all other
-    qubits of the full cloner output, so it is independent of any tensor
-    representation used elsewhere.
+    ``clone_index`` runs from 1 to ``M``; symmetry makes the value independent
+    of it.  The sites left of the clone are left-orthonormal, so its one-site
+    density needs only the environment of the sites to its right.
     """
-    m = spec.clones
-    if not 1 <= clone_index <= m:
-        raise ValueError(f"clone index must be in [1, {m}], got {clone_index}")
-    state = gm_state(spec)
-    rho = reduced_qubit_density(state, clone_index - 1, spec.qubits)
-    psi = spec.input.vector
-    return float(np.real(np.vdot(psi, rho @ psi)))
+    if not 1 <= clone_index <= spec.clones:
+        raise ValueError(f"clone index must be in [1, {spec.clones}], got {clone_index}")
+    sites = gm_mps(spec).sites
+    env = np.ones((1, 1), dtype=np.complex128)
+    for t in reversed(sites[clone_index:]):
+        env = sum(t[i] @ env @ t[i].conj().T for i in range(2))
+    t = sites[clone_index - 1]
+    rho = np.einsum("alr,rs,bls->ab", t, env, t.conj())
+    return float(np.real(np.vdot(spec.input.vector, rho @ spec.input.vector)))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import linalg, mps as mps_mod
-from .cloning import GMSpec, gm_state
+from .cloning import GMSpec, gm_mps
 from .errors import CanonicalFormError, ResourceLimitError, StructureError, check_fidelity
 from .mps import MatrixProductState
 
@@ -30,7 +30,7 @@ METHOD_VARIATIONAL = "variational"
 METHOD_VARIATIONAL_SEEDED = "variational_seeded_by_svd"
 METHODS = (METHOD_SVD, METHOD_VARIATIONAL, METHOD_VARIATIONAL_SEEDED)
 
-#: Largest register handled by dense construction in scans.
+#: Largest register a scan accepts.
 MAX_SCAN_QUBITS = 15
 
 
@@ -178,24 +178,6 @@ def _random_trial(n: int, bond_cap: int, rng: np.random.Generator) -> MatrixProd
     return trial
 
 
-def _shift_centre(sites: list[np.ndarray], k: int, step: int) -> None:
-    """Turn site ``k`` into an isometry by QR and carry the rest to ``k + step``.
-
-    ``step = +1`` leaves site ``k`` left-orthonormal, ``step = -1``
-    right-orthonormal (``sum_i X^i X^i{dagger} = 1``); the chain still
-    represents the same state.  Tensors are replaced, never written into.
-    """
-    two, lw, rw = sites[k].shape
-    if step > 0:
-        q, r = np.linalg.qr(sites[k].reshape(two * lw, rw))
-        sites[k] = q.reshape(two, lw, -1)
-        sites[k + 1] = np.einsum("sr,irt->ist", r, sites[k + 1])
-    else:
-        q, r = np.linalg.qr(sites[k].transpose(1, 0, 2).reshape(lw, two * rw).conj().T)
-        sites[k] = q.conj().T.reshape(-1, two, rw).transpose(1, 0, 2)
-        sites[k - 1] = np.einsum("ilr,sr->ils", sites[k - 1], r.conj())
-
-
 class _SweepWorkspace:
     """Mixed-canonical single-site sweeps of a trial chain against a target.
 
@@ -231,7 +213,7 @@ class _SweepWorkspace:
         )
         self.xs[k] = x
         if 0 <= k + step < self.n:
-            _shift_centre(self.xs, k, step)
+            mps_mod.shift_centre(self.xs, k, step)
             if step > 0:
                 self.lmix[k + 1] = sum(
                     self.xs[k][i].conj().T @ self.lmix[k] @ self.ts[k][i] for i in range(2)
@@ -275,7 +257,7 @@ def variational_compress(
     n = target.n_qubits
     if target.left_orthonormality_defect() > 1e-8:
         for k in range(n - 1):
-            _shift_centre(target.sites, k, +1)
+            mps_mod.shift_centre(target.sites, k, +1)
         target.canonical = True
 
     seed_report = None
@@ -291,7 +273,7 @@ def variational_compress(
     else:
         trial = _random_trial(n, req.bond_cap, np.random.default_rng(req.seed))
         for k in range(n - 1, 0, -1):
-            _shift_centre(trial.sites, k, -1)
+            mps_mod.shift_centre(trial.sites, k, -1)
 
     work = _SweepWorkspace(target.sites, trial.sites)
     sweep_errors: list[float] = []
@@ -354,8 +336,8 @@ def regularization_scan(
 ) -> list[FidelityReport]:
     """One compression report per (bond_cap, method) pair for a cloner state.
 
-    Builds the dense cloner output once, decomposes it exactly, and runs each
-    requested compression.  Deterministic for a fixed seed.
+    Builds the exact cloner chain once and runs each requested compression
+    on it.  Deterministic for a fixed seed.
     """
     n = spec.qubits
     if n > MAX_SCAN_QUBITS:
@@ -366,7 +348,7 @@ def regularization_scan(
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
-    target = mps_mod.from_statevector(gm_state(spec), linalg.RANK_RTOL)
+    target = gm_mps(spec)
     reports = []
     for cap in bond_caps:
         for method in methods:

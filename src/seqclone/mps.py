@@ -107,6 +107,34 @@ class MatrixProductState:
         )
 
 
+def shift_centre(sites: list[np.ndarray], k: int, step: int) -> None:
+    """Turn site ``k`` into an isometry by QR and carry the rest to ``k + step``.
+
+    ``step = +1`` leaves site ``k`` left-orthonormal, ``step = -1``
+    right-orthonormal (``sum_i X^i X^i{dagger} = 1``); the chain still
+    represents the same state.  Tensors are replaced, never written into.
+    """
+    two, lw, rw = sites[k].shape
+    if step > 0:
+        q, r = np.linalg.qr(sites[k].reshape(two * lw, rw))
+        sites[k] = q.reshape(two, lw, -1)
+        sites[k + 1] = np.einsum("sr,irt->ist", r, sites[k + 1])
+    else:
+        q, r = np.linalg.qr(sites[k].transpose(1, 0, 2).reshape(lw, two * rw).conj().T)
+        sites[k] = q.conj().T.reshape(-1, two, rw).transpose(1, 0, 2)
+        sites[k - 1] = np.einsum("ilr,sr->ils", sites[k - 1], r.conj())
+
+
+def split_site(block: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """SVD-split a ``(bond, 2, rest)`` block into a left-orthonormal site and
+    ``S V^dagger``, dropping singular values at or below ``rank_tol`` times the largest."""
+    bond = block.shape[0]
+    u, s, right = linalg.svd(block.reshape(2 * bond, -1))
+    keep = max(1, int(np.count_nonzero(s > rank_tol * s[0])))
+    site = u[:, :keep].reshape(bond, 2, keep).transpose(1, 0, 2)
+    return site, s[:keep, None] * right[:, :keep].conj().T
+
+
 def from_statevector(v: np.ndarray, rank_tol: float = 0.0) -> MatrixProductState:
     """Exact left-canonical MPS of a normalized dense state by repeated SVD.
 
@@ -125,15 +153,10 @@ def from_statevector(v: np.ndarray, rank_tol: float = 0.0) -> MatrixProductState
 
     sites: list[np.ndarray] = []
     remainder = v.reshape(1, -1)
-    bond = 1
     for _ in range(n - 1):
-        mat = remainder.reshape(2 * bond, -1)
-        u, s, right = linalg.svd(mat)
-        keep = max(1, int(np.count_nonzero(s > rank_tol * s[0])))
-        sites.append(u[:, :keep].reshape(bond, 2, keep).transpose(1, 0, 2))
-        remainder = s[:keep, None] * right[:, :keep].conj().T
-        bond = keep
-    sites.append(remainder.reshape(bond, 2, 1).transpose(1, 0, 2))
+        site, remainder = split_site(remainder.reshape(len(remainder), 2, -1), rank_tol)
+        sites.append(site)
+    sites.append(remainder.reshape(-1, 2, 1).transpose(1, 0, 2))
     return MatrixProductState(sites=sites, canonical=True)
 
 

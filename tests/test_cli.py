@@ -2,9 +2,13 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
+import pytest
+
+import seqclone
 from seqclone.cli import main
 
 
@@ -164,6 +168,19 @@ class TestRegularize:
         assert code == 0
         assert "unsupported" in err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--max-sweeps", "0"), ("--max-sweeps", "-3"), ("--tol", "0"), ("--tol", "nan"),
+         ("--tol", "-0.5")],
+    )
+    def test_rejects_invalid_sweep_settings(self, tmp_path, flag, value):
+        code, err = run_cli([
+            "regularize", "--clones", "2", "--bond-caps", "2", "--methods", "variational",
+            "-o", str(tmp_path / "x.csv"), "--threads", "1", flag, value,
+        ])
+        assert code == 2
+        assert flag[2:] in err
+
 
 class TestSynthesize:
     def test_single_row_and_reported_fields(self, tmp_path):
@@ -179,6 +196,14 @@ class TestSynthesize:
         assert row["n"] == 3 and row["M"] == 2
         assert row["aux"] == "on" and row["method"] == "xxz"
         assert 0.0 <= row["fidelity"] <= 1.0 + 1e-9
+
+    def test_rejects_zero_max_sweeps(self, tmp_path):
+        code, err = run_cli([
+            "synthesize", "--qubits", "3", "--max-sweeps", "0",
+            "-o", str(tmp_path / "x.csv"), "--threads", "1",
+        ])
+        assert code == 2
+        assert "max-sweeps" in err
 
     def test_rejects_even_register(self, tmp_path):
         code, err = run_cli([
@@ -271,11 +296,48 @@ class TestInputQubitParsing:
         assert code == 2
         assert "input-qubit" in err
 
+    def test_rejects_nan_amplitude(self, tmp_path):
+        code, err = run_cli([
+            "gm-info", "--clones", "2", "--input-qubit", "nan,0;0,0",
+        ])
+        assert code == 2
+        assert "input-qubit" in err
+
+
+class TestNoDenseTargets:
+    """regularize and gm-info work from the cloner chain, never the dense state."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_dense_state(self, monkeypatch):
+        def refuse(spec):
+            raise AssertionError("dense cloner state built")
+
+        monkeypatch.setattr("seqclone.cloning.gm_state", refuse)
+        monkeypatch.setattr("seqclone.cli.gm_state", refuse)
+
+    def test_regularize(self, tmp_path):
+        code, _ = run_cli([
+            "regularize", "--clones", "2,4", "--bond-caps", "2,3",
+            "--methods", "svd,variational", "-o", str(tmp_path / "scan.csv"),
+            "--threads", "1",
+        ])
+        assert code == 0
+
+    def test_gm_info_with_mps_out(self, tmp_path):
+        code, _ = run_cli([
+            "gm-info", "--clones", "4", "-o", str(tmp_path / "info.csv"),
+            "--mps-out", str(tmp_path / "chain.json"),
+        ])
+        assert code == 0
+
 
 def test_console_entry_point():
+    # the child finds the package where this process found it, installed or not
+    src = os.path.dirname(os.path.dirname(seqclone.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "seqclone.cli", "gm-info", "--clones", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "alpha" in proc.stdout

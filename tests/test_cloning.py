@@ -11,9 +11,13 @@ from seqclone.cloning import (
     PureQubit,
     clone_fidelity_oracle,
     gm_coefficients,
+    gm_mps,
     gm_state,
-    symmetric_state,
 )
+from seqclone.linalg import RANK_RTOL
+from seqclone.mps import from_statevector, to_statevector
+
+from gm_dense import dense_clone_fidelity, dense_gm_state, symmetric_state
 
 
 def random_qubit(rng):
@@ -26,6 +30,11 @@ class TestPureQubit:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             PureQubit(1.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("nan"))])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="normalized"):
+            PureQubit(bad, 0.0)
 
     def test_vector(self):
         assert np.allclose(KET_PLUS.vector, [1 / np.sqrt(2)] * 2)
@@ -167,3 +176,50 @@ class TestCloneFidelityOracle:
             clone_fidelity_oracle(GMSpec(2, KET_PLUS), 3)
         with pytest.raises(ValueError):
             clone_fidelity_oracle(GMSpec(2, KET_PLUS), 0)
+
+
+def _cross_check_specs():
+    rng = np.random.default_rng(7)
+    inputs = {"0": KET_ZERO, "1": KET_ONE, "+": KET_PLUS,
+              "r1": random_qubit(rng), "r2": random_qubit(rng)}
+    return [
+        pytest.param(GMSpec(m, q), id=f"M{m}-{label}")
+        for m in range(1, 9)
+        for label, q in inputs.items()
+    ]
+
+
+class TestChainAgainstDenseOracle:
+    """The counter chain against the kron-built dense state of ``gm_dense``."""
+
+    @pytest.fixture(params=_cross_check_specs(), scope="class")
+    def case(self, request):
+        spec = request.param
+        return spec, dense_gm_state(spec)
+
+    def test_bond_profile(self, case):
+        spec, oracle = case
+        expected = from_statevector(oracle, RANK_RTOL).bond_dimensions
+        assert gm_mps(spec).bond_dimensions == expected
+
+    def test_left_canonical(self, case):
+        chain = gm_mps(case[0])
+        assert chain.canonical
+        assert chain.left_orthonormality_defect() < 1e-12
+
+    def test_amplitudes(self, case):
+        spec, oracle = case
+        assert np.max(np.abs(to_statevector(gm_mps(spec)) - oracle)) < 1e-12
+        assert np.max(np.abs(gm_state(spec) - oracle)) < 1e-12
+
+    def test_exact_zeros(self, case):
+        spec, oracle = case
+        v = gm_state(spec)
+        assert np.array_equal(v == 0, oracle == 0)
+        if spec.clones <= 3:
+            assert np.array_equal(v, oracle)
+
+    def test_clone_fidelity(self, case):
+        spec, _ = case
+        for idx in range(1, spec.clones + 1):
+            assert abs(clone_fidelity_oracle(spec, idx) - dense_clone_fidelity(spec, idx)) < 1e-12

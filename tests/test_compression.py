@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from seqclone.cloning import GMSpec, KET_PLUS, gm_state
+from seqclone.cloning import GMSpec, KET_PLUS, PureQubit, gm_state
 from seqclone.compression import (
     CompressionRequest,
     METHOD_SVD,
@@ -280,6 +280,17 @@ class TestRegularizationScan:
         r2 = regularization_scan(*args, seed=9)
         assert r1[0].fidelity == r2[0].fidelity
         assert r1[0].sweep_errors == r2[0].sweep_errors
+
+    @pytest.mark.parametrize("qubit", [KET_PLUS, PureQubit(0.6, 0.8j)], ids=["plus", "complex"])
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_truncation_error_is_closed_form_floor(self, m, qubit):
+        # the clone/anticlone cut binds: keeping D of its Schmidt weights
+        # leaves a fidelity sqrt(D(2M - D + 1) / (M(M + 1)))
+        caps = list(range(1, min(3, m) + 1))
+        reports = regularization_scan(GMSpec(m, qubit), caps, [METHOD_SVD])
+        for d, report in zip(caps, reports):
+            floor = 1.0 - np.sqrt(d * (2 * m - d + 1) / (m * (m + 1)))
+            assert abs(report.error - floor) < 1e-12
 
     def test_resource_cap(self):
         with pytest.raises(ResourceLimitError):
