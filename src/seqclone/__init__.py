@@ -7,6 +7,7 @@ from .cloning import (
     KET_PLUS,
     KET_ZERO,
     PureQubit,
+    clone_fidelities,
     clone_fidelity_oracle,
     gm_coefficients,
     gm_mps,

@@ -29,7 +29,7 @@ import sys
 import time
 
 from . import compression, mps as mps_mod, sequential
-from .cloning import GMSpec, PureQubit, clone_fidelity_oracle, gm_coefficients, gm_mps, gm_state
+from .cloning import GMSpec, PureQubit, clone_fidelities, gm_coefficients, gm_mps, gm_state
 from .errors import ResourceLimitError
 
 EXIT_OK = 0
@@ -329,8 +329,8 @@ def _cmd_gm_info(args) -> int:
         for c, d in enumerate(chain.bond_dimensions):
             add("bond_dim", c, d)
         add("max_bond", None, chain.max_bond)
-        for idx in range(1, m + 1):
-            add("clone_fidelity", idx, clone_fidelity_oracle(spec, idx))
+        for idx, f in enumerate(clone_fidelities(chain, qubit), start=1):
+            add("clone_fidelity", idx, f)
     text = _render_rows(rows, INFO_COLUMNS, args.format, "gm-info", timing=True)
     _write_output(text, args.output)
     return EXIT_OK

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mps as mps_mod
+from .errors import CanonicalFormError
 from .linalg import RANK_RTOL
 
 
@@ -132,19 +133,35 @@ def gm_state(spec: GMSpec) -> np.ndarray:
     return mps_mod.to_statevector(mps_mod.MatrixProductState(sites=_counter_chain(spec)))
 
 
+def clone_fidelities(chain: mps_mod.MatrixProductState, qubit: PureQubit) -> list[float]:
+    """Clone qualities ``<psi| rho_k |psi>`` for ``k = 1..M`` in one pass.
+
+    ``chain`` is the left-canonical cloner output for input ``qubit`` (as
+    :func:`gm_mps` returns it), so the sites left of clone ``k`` drop out of
+    its one-site density and a single right-to-left environment, extended
+    site by site, yields all ``M`` values.
+    """
+    if not chain.canonical:
+        raise CanonicalFormError("clone fidelities need the left-canonical cloner chain")
+    m = (chain.n_qubits + 1) // 2
+    v = qubit.vector
+    env = np.ones((1, 1), dtype=np.complex128)
+    fids = []
+    for k in range(chain.n_qubits - 1, -1, -1):
+        t = chain.sites[k]
+        if k < m:
+            rho = np.einsum("alr,rs,bls->ab", t, env, t.conj())
+            fids.append(float(np.real(np.vdot(v, rho @ v))))
+        env = sum(t[i] @ env @ t[i].conj().T for i in range(2))
+    return fids[::-1]
+
+
 def clone_fidelity_oracle(spec: GMSpec, clone_index: int) -> float:
     """Clone quality ``<psi| rho_clone |psi>`` of the exact cloner output.
 
     ``clone_index`` runs from 1 to ``M``; symmetry makes the value independent
-    of it.  The sites left of the clone are left-orthonormal, so its one-site
-    density needs only the environment of the sites to its right.
+    of it.  See :func:`clone_fidelities`, which gives all ``M`` at once.
     """
     if not 1 <= clone_index <= spec.clones:
         raise ValueError(f"clone index must be in [1, {spec.clones}], got {clone_index}")
-    sites = gm_mps(spec).sites
-    env = np.ones((1, 1), dtype=np.complex128)
-    for t in reversed(sites[clone_index:]):
-        env = sum(t[i] @ env @ t[i].conj().T for i in range(2))
-    t = sites[clone_index - 1]
-    rho = np.einsum("alr,rs,bls->ab", t, env, t.conj())
-    return float(np.real(np.vdot(spec.input.vector, rho @ spec.input.vector)))
+    return clone_fidelities(gm_mps(spec), spec.input)[clone_index - 1]

@@ -150,7 +150,7 @@ def svd_truncate_mps(
         vh = v[:, :keep].conj().T
         sites[j] = vh.reshape(keep, two, right).transpose(1, 0, 2)
         carry = u[:, :keep] * s[:keep]
-        sites[j - 1] = np.einsum("ipl,lk->ipk", sites[j - 1], carry)
+        sites[j - 1] = sites[j - 1] @ carry
 
     truncated = MatrixProductState(sites=sites)
     truncated.sites[0] = truncated.sites[0] / mps_mod.norm(truncated)
@@ -188,7 +188,9 @@ class _SweepWorkspace:
     ``lmix[k]``/``rmix[k]`` pair the conjugated trial chain left/right of
     site ``k`` with the target chain.  With orthonormal environments the
     local least-squares problem is solved by the projection
-    ``X = lmix[k] T_k rmix[k]``, and ``||t - s||^2 = 1 - ||X||^2`` after it.
+    ``X^i = lmix[k] T_k^i rmix[k]^T``, and ``||t - s||^2 = 1 - ||X||^2``
+    after it.  Every contraction is a plain matrix product broadcast over the
+    physical index of the ``(2, left, right)`` site stacks.
     """
 
     def __init__(self, target_sites, trial_sites):
@@ -201,23 +203,22 @@ class _SweepWorkspace:
         for k in range(self.n - 1, 0, -1):
             self._extend_rmix(k)
 
+    def _extend_lmix(self, k):
+        x, t = self.xs[k], self.ts[k]
+        self.lmix[k + 1] = (x.conj().transpose(0, 2, 1) @ self.lmix[k] @ t).sum(0)
+
     def _extend_rmix(self, k):
-        self.rmix[k - 1] = sum(
-            self.xs[k][i].conj() @ self.rmix[k] @ self.ts[k][i].T for i in range(2)
-        )
+        x, t = self.xs[k], self.ts[k]
+        self.rmix[k - 1] = (x.conj() @ self.rmix[k] @ t.transpose(0, 2, 1)).sum(0)
 
     def _update(self, k, step) -> float:
         """Project site ``k``, then move the centre one site by ``step``."""
-        x = np.einsum(
-            "lt,itu,ru->ilr", self.lmix[k], self.ts[k], self.rmix[k], optimize=True
-        )
+        x = self.lmix[k] @ self.ts[k] @ self.rmix[k].T
         self.xs[k] = x
         if 0 <= k + step < self.n:
             mps_mod.shift_centre(self.xs, k, step)
             if step > 0:
-                self.lmix[k + 1] = sum(
-                    self.xs[k][i].conj().T @ self.lmix[k] @ self.ts[k][i] for i in range(2)
-                )
+                self._extend_lmix(k)
             else:
                 self._extend_rmix(k)
         return 1.0 - float(np.vdot(x, x).real)

@@ -4,8 +4,9 @@ All matrices are ``numpy.ndarray`` of complex128 with ``ndim == 2``.
 Conventions fixed here and relied upon everywhere else:
 
 * singular values are returned in non-increasing order,
-* SVD phases are made deterministic (largest-magnitude entry of every left
-  singular vector is real and positive),
+* SVD phases are made deterministic (the first entry of every left singular
+  vector whose magnitude is within a relative ``PIVOT_RTOL`` of the largest
+  is real and positive),
 * a singular value counts as numerically nonzero iff it exceeds
   ``RANK_RTOL`` times the largest one.
 """
@@ -20,6 +21,9 @@ from .errors import NumericalFailure
 
 # Relative threshold below which a singular value is treated as zero.
 RANK_RTOL = 1e-10
+# Entries this close (relatively) to a singular vector's largest magnitude
+# tie for its phase pivot; the first of them wins.
+PIVOT_RTOL = 1e-9
 
 
 class SVDResult(NamedTuple):
@@ -47,9 +51,12 @@ def _as_matrix(a: np.ndarray, name: str = "a") -> np.ndarray:
 def svd(a: np.ndarray) -> SVDResult:
     """Thin SVD with a deterministic phase convention.
 
-    Each left singular vector is rotated so its largest-magnitude entry is
-    real-positive (the compensating phase goes into the right vector), which
-    makes repeated decompositions of the same matrix bit-stable across runs.
+    Each left singular vector is rotated so its pivot is real-positive (the
+    compensating phase goes into the right vector).  The pivot is the first
+    entry whose magnitude is at least ``1 - PIVOT_RTOL`` times the largest,
+    so entries that tie up to rounding (such as ``+-0.5``) do not let noise
+    pick it: repeated decompositions of the same matrix are bit-stable, and
+    matrices equal up to rounding get the same gauge.
 
     Raises:
         ValueError: empty input.
@@ -65,8 +72,9 @@ def svd(a: np.ndarray) -> SVDResult:
     u = np.asarray(u, dtype=np.complex128)
     vh = np.asarray(vh, dtype=np.complex128)
     for j in range(u.shape[1]):
-        pivot = np.argmax(np.abs(u[:, j]))
-        mag = np.abs(u[pivot, j])
+        mags = np.abs(u[:, j])
+        pivot = np.argmax(mags >= (1.0 - PIVOT_RTOL) * mags.max())
+        mag = mags[pivot]
         if mag > 0.0:
             phase = u[pivot, j] / mag
             u[:, j] *= np.conj(phase)

@@ -118,11 +118,11 @@ def shift_centre(sites: list[np.ndarray], k: int, step: int) -> None:
     if step > 0:
         q, r = np.linalg.qr(sites[k].reshape(two * lw, rw))
         sites[k] = q.reshape(two, lw, -1)
-        sites[k + 1] = np.einsum("sr,irt->ist", r, sites[k + 1])
+        sites[k + 1] = r @ sites[k + 1]
     else:
         q, r = np.linalg.qr(sites[k].transpose(1, 0, 2).reshape(lw, two * rw).conj().T)
         sites[k] = q.conj().T.reshape(-1, two, rw).transpose(1, 0, 2)
-        sites[k - 1] = np.einsum("ilr,sr->ils", sites[k - 1], r.conj())
+        sites[k - 1] = sites[k - 1] @ r.conj().T
 
 
 def split_site(block: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:

@@ -9,13 +9,15 @@ from seqclone.cloning import (
     KET_PLUS,
     KET_ZERO,
     PureQubit,
+    clone_fidelities,
     clone_fidelity_oracle,
     gm_coefficients,
     gm_mps,
     gm_state,
 )
+from seqclone.errors import CanonicalFormError
 from seqclone.linalg import RANK_RTOL
-from seqclone.mps import from_statevector, to_statevector
+from seqclone.mps import MatrixProductState, from_statevector, to_statevector
 
 from gm_dense import dense_clone_fidelity, dense_gm_state, symmetric_state
 
@@ -171,6 +173,28 @@ class TestCloneFidelityOracle:
         ]
         assert max(vals) - min(vals) < 1e-10
 
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_one_pass_matches_per_clone_environments(self, m):
+        # reference: a fresh right environment per clone index, as each
+        # clone's density was once computed; same operations, same bits
+        rng = np.random.default_rng(8)
+        for qubit in (KET_PLUS, random_qubit(rng)):
+            chain = gm_mps(GMSpec(m, qubit))
+            expected = []
+            for idx in range(1, m + 1):
+                env = np.ones((1, 1), dtype=np.complex128)
+                for t in reversed(chain.sites[idx:]):
+                    env = sum(t[i] @ env @ t[i].conj().T for i in range(2))
+                t = chain.sites[idx - 1]
+                rho = np.einsum("alr,rs,bls->ab", t, env, t.conj())
+                expected.append(float(np.real(np.vdot(qubit.vector, rho @ qubit.vector))))
+            assert clone_fidelities(chain, qubit) == expected
+
+    def test_one_pass_rejects_non_canonical_chain(self):
+        chain = gm_mps(GMSpec(2, KET_PLUS))
+        with pytest.raises(CanonicalFormError):
+            clone_fidelities(MatrixProductState(sites=chain.sites), KET_PLUS)
+
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             clone_fidelity_oracle(GMSpec(2, KET_PLUS), 3)
@@ -223,3 +247,19 @@ class TestChainAgainstDenseOracle:
         spec, _ = case
         for idx in range(1, spec.clones + 1):
             assert abs(clone_fidelity_oracle(spec, idx) - dense_clone_fidelity(spec, idx)) < 1e-12
+
+
+class TestRouteAgreement:
+    """The chain sweep and the dense SVD route give the same sites, gauge
+    included: the SVD phase pivot does not depend on rounding."""
+
+    @pytest.mark.parametrize(
+        "qubit", [KET_PLUS, KET_ZERO, PureQubit(0.6, 0.8j)], ids=["plus", "zero", "complex"]
+    )
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_sites_agree(self, m, qubit):
+        spec = GMSpec(m, qubit)
+        chain = gm_mps(spec).sites
+        dense = from_statevector(gm_state(spec), RANK_RTOL).sites
+        assert [t.shape for t in chain] == [t.shape for t in dense]
+        assert max(np.max(np.abs(a - b)) for a, b in zip(chain, dense)) < 1e-13

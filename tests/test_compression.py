@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from seqclone import compression
 from seqclone.cloning import GMSpec, KET_PLUS, PureQubit, gm_state
 from seqclone.compression import (
     CompressionRequest,
@@ -299,3 +300,65 @@ class TestRegularizationScan:
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="method"):
             regularization_scan(GMSpec(2, KET_PLUS), [2], ["bogus"])
+
+
+class _EinsumWorkspace(compression._SweepWorkspace):
+    """Reference sweep kernel: every contraction by ``einsum``, one per site."""
+
+    def _extend_lmix(self, k):
+        self.lmix[k + 1] = np.einsum("ilr,lt,itu->ru", self.xs[k].conj(), self.lmix[k], self.ts[k])
+
+    def _extend_rmix(self, k):
+        self.rmix[k - 1] = np.einsum("ilr,ru,itu->lt", self.xs[k].conj(), self.rmix[k], self.ts[k])
+
+    def _update(self, k, step):
+        x = np.einsum("lt,itu,ru->ilr", self.lmix[k], self.ts[k], self.rmix[k], optimize=True)
+        self.xs[k] = x
+        if 0 <= k + step < self.n:
+            two, lw, rw = x.shape
+            if step > 0:
+                q, r = np.linalg.qr(x.reshape(two * lw, rw))
+                self.xs[k] = q.reshape(two, lw, -1)
+                self.xs[k + 1] = np.einsum("sr,irt->ist", r, self.xs[k + 1])
+                self._extend_lmix(k)
+            else:
+                q, r = np.linalg.qr(x.transpose(1, 0, 2).reshape(lw, two * rw).conj().T)
+                self.xs[k] = q.conj().T.reshape(-1, two, rw).transpose(1, 0, 2)
+                self.xs[k - 1] = np.einsum("ilr,sr->ils", self.xs[k - 1], r.conj())
+                self._extend_rmix(k)
+        return 1.0 - float(np.vdot(x, x).real)
+
+
+def _compress_scan_plan(seed):
+    """The benchmark's compress-scan round: M = 2..8, truncation and seeded
+    ALS at caps 2-4, unseeded ALS at caps 2-3; ALS reports keyed by point."""
+    reports = {}
+    for m in range(2, 9):
+        for caps, methods in (
+            ([2, 3, 4], [METHOD_SVD, METHOD_VARIATIONAL_SEEDED]),
+            ([2, 3], [METHOD_VARIATIONAL]),
+        ):
+            for r in regularization_scan(GMSpec(m), caps, methods, seed=seed):
+                if r.method != METHOD_SVD:
+                    reports[(m, r.bond_cap, r.method)] = r
+    return reports
+
+
+class TestSweepKernel:
+    def test_compress_scan_plan_pinned(self, monkeypatch):
+        reports = _compress_scan_plan(seed=1)
+        assert sum(r.sweeps_used for r in reports.values()) == 471
+        assert sorted(key for key, r in reports.items() if not r.converged) == [
+            (6, 2, METHOD_VARIATIONAL),
+            (7, 2, METHOD_VARIATIONAL),
+            (7, 3, METHOD_VARIATIONAL),
+            (8, 2, METHOD_VARIATIONAL),
+            (8, 3, METHOD_VARIATIONAL),
+        ]
+        monkeypatch.setattr(compression, "_SweepWorkspace", _EinsumWorkspace)
+        reference = _compress_scan_plan(seed=1)
+        assert reports.keys() == reference.keys()
+        for key, r in reports.items():
+            ref = reference[key]
+            assert (r.sweeps_used, r.converged) == (ref.sweeps_used, ref.converged), key
+            assert abs(r.fidelity - ref.fidelity) <= 1e-14, key

@@ -58,6 +58,18 @@ class TestSvd:
             assert abs(r1.left[pivot, j].imag) < 1e-14
             assert r1.left[pivot, j].real > 0
 
+    def test_tied_pivot_is_rounding_stable(self):
+        # every left singular vector has entries +-0.5 of equal magnitude;
+        # rounding-level noise must not move the phase pivot among them
+        rng = np.random.default_rng(3)
+        h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
+        a = (h * [4.0, 3.0, 2.0, 1.0]) @ random_unitary(rng, 4)
+        ref = svd(a).left
+        assert np.allclose(ref[0], 0.5, atol=1e-12)
+        for _ in range(20):
+            noisy = a + 1e-15 * random_complex(rng, 4, 4)
+            assert np.max(np.abs(svd(noisy).left - ref)) < 1e-12
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             svd(np.zeros((0, 3)))

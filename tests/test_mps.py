@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqclone.cloning import GMSpec, KET_PLUS, gm_state
 from seqclone.errors import CanonicalFormError, StructureError
@@ -12,6 +13,7 @@ from seqclone.mps import (
     from_statevector,
     norm,
     overlap,
+    shift_centre,
     to_json,
     to_statevector,
 )
@@ -139,6 +141,61 @@ class TestOverlap:
         b = from_statevector(random_state(rng, 4))
         with pytest.raises(StructureError):
             overlap(a, b)
+
+
+@st.composite
+def chain_and_move(draw):
+    """A random chain with ragged bonds (1..5 inside, 1 at the edges) plus a
+    site ``k`` and a direction ``step`` that keeps ``k + step`` on the chain."""
+    n = draw(st.integers(2, 6))
+    bonds = [1] + draw(st.lists(st.integers(1, 5), min_size=n - 1, max_size=n - 1)) + [1]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sites = [
+        rng.standard_normal((2, bonds[j], bonds[j + 1]))
+        + 1j * rng.standard_normal((2, bonds[j], bonds[j + 1]))
+        for j in range(n)
+    ]
+    step = draw(st.sampled_from([1, -1]))
+    k = draw(st.integers(0, n - 2) if step > 0 else st.integers(1, n - 1))
+    return sites, k, step
+
+
+class TestShiftCentre:
+    @settings(max_examples=200, deadline=None)
+    @given(chain_and_move())
+    def test_state_preserved(self, case):
+        sites, k, step = case
+        before = to_statevector(MatrixProductState(sites=sites))
+        moved = list(sites)
+        shift_centre(moved, k, step)
+        after = to_statevector(MatrixProductState(sites=moved))
+        scale = np.linalg.norm(before)
+        assert np.max(np.abs(after - before)) <= 1e-12 * scale
+
+    @settings(max_examples=200, deadline=None)
+    @given(chain_and_move())
+    def test_site_left_behind_is_orthonormal(self, case):
+        sites, k, step = case
+        moved = list(sites)
+        shift_centre(moved, k, step)
+        x = moved[k]
+        if step > 0:
+            gram = sum(x[i].conj().T @ x[i] for i in range(2))
+        else:
+            gram = sum(x[i] @ x[i].conj().T for i in range(2))
+        assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(chain_and_move())
+    def test_inputs_not_written_into(self, case):
+        sites, k, step = case
+        copies = [t.copy() for t in sites]
+        moved = list(sites)
+        shift_centre(moved, k, step)
+        for original, copy in zip(sites, copies):
+            assert np.array_equal(original, copy)
+        for j in (k, k + step):
+            assert not np.shares_memory(moved[j], sites[j])
 
 
 class TestExtractIsometries:
