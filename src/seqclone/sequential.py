@@ -13,13 +13,14 @@ step.  The free final ancilla state is optimized in closed form, giving the
 cost ``2 (1 - F)`` with ``F`` the modulus of the ancilla-contracted overlap
 against a fixed target register state.
 
-Couplings are optimized by block coordinate descent with an exact gradient:
-one step's parameters at a time by L-BFGS-B, sweeping back and forth until
-the cost stalls, then one L-BFGS-B polish of all parameters, repeated over
-random restarts.  The gradient of ``F = ||w||`` comes from the same
-environments as the cost: closed-form derivatives of the XXZ entangler and
-the ZYZ rotations, and Daleckii-Krein divided differences on the
-eigendecomposition of the general generator.
+Couplings are optimized by one L-BFGS-B run on all parameters per random
+restart, on the exact gradient: one forward pass keeps the states between
+steps and one backward pass pulls the target bra through them, so a
+cost-and-gradient evaluation costs O(n) pair-gate applications.  The step
+gates and their derivatives are built for all steps in one batch:
+closed-form derivatives of the XXZ entangler and the ZYZ rotations, and
+Daleckii-Krein divided differences on the eigendecomposition of the
+general generator.
 
 Layout conventions: joint vectors are indexed ancilla-first
 (``index = a * 2**n + q``), the register index ``q`` reads ``i_n ... i_1``
@@ -29,7 +30,6 @@ with ``i_1`` least significant, and step ``k`` touches qubit ``k`` (bit
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -150,18 +150,13 @@ class SynthesisResult:
             raise ValueError("cost field must equal 2 (1 - fidelity)")
 
 
-def euler_zyz(theta: float, phi: float, lam: float) -> np.ndarray:
-    """SU(2) rotation ``Rz(phi) Ry(theta) Rz(lam)``, global phase dropped."""
-    # Python scalars: this runs once per rotation per cost evaluation
-    theta, phi, lam = float(theta), float(phi), float(lam)
-    ct, st = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array(
-        [
-            [ct * cmath.exp(-0.5j * (phi + lam)), -st * cmath.exp(-0.5j * (phi - lam))],
-            [st * cmath.exp(0.5j * (phi - lam)), ct * cmath.exp(0.5j * (phi + lam))],
-        ],
-        dtype=np.complex128,
-    )
+def euler_zyz(theta, phi, lam) -> np.ndarray:
+    """SU(2) rotation ``Rz(phi) Ry(theta) Rz(lam)``, global phase dropped.
+
+    The angles broadcast: arrays of shape ``S`` give rotations of shape
+    ``S + (2, 2)``.
+    """
+    return _euler_zyz(np.stack(np.broadcast_arrays(theta, phi, lam), axis=-1))
 
 
 def xxz_hamiltonian(h1: float, h2: float) -> np.ndarray:
@@ -172,21 +167,23 @@ def xxz_hamiltonian(h1: float, h2: float) -> np.ndarray:
     )
 
 
-def xxz_unitary(h1: float, h2: float) -> np.ndarray:
+def xxz_unitary(h1, h2) -> np.ndarray:
     """``exp(-1j * xxz_hamiltonian(h1, h2))`` in closed form.
 
     The generator is block diagonal: ``|00>`` and ``|11>`` pick up the phase
     ``exp(-1j h2)`` while the flip-flop block rotates by ``2 h1`` under an
     ``exp(+1j h2)`` phase.  Matches the eigendecomposition route to machine
-    precision at a fraction of the cost.
+    precision at a fraction of the cost.  Arrays of couplings broadcast
+    like the angles of :func:`euler_zyz`.
     """
-    u = np.zeros((4, 4), dtype=np.complex128)
-    edge = np.exp(-1j * h2)
-    u[0, 0] = u[3, 3] = edge
-    mid = np.exp(1j * h2)
-    c, s = np.cos(2.0 * h1), np.sin(2.0 * h1)
-    u[1, 1] = u[2, 2] = mid * c
-    u[1, 2] = u[2, 1] = mid * (-1j * s)
+    edge = np.exp(-1j * np.asarray(h2, dtype=float))
+    mid = edge.conj()
+    turn = 2.0 * np.asarray(h1, dtype=float)
+    diag, flip = mid * np.cos(turn), mid * (-1j * np.sin(turn))
+    u = np.zeros(diag.shape + (4, 4), dtype=np.complex128)
+    u[..., 0, 0] = u[..., 3, 3] = edge
+    u[..., 1, 1] = u[..., 2, 2] = diag
+    u[..., 1, 2] = u[..., 2, 1] = flip
     return u
 
 
@@ -199,18 +196,30 @@ def general_hamiltonian(c: GeneralCoupling) -> np.ndarray:
     return np.tensordot(c.matrix.reshape(16), _PAULI_PAIRS, axes=(0, 0))
 
 
-_HALF_Z_COL = np.array([[-0.5j], [0.5j]])
-_HALF_Z_ROW = _HALF_Z_COL.T
+# ZYZ rotation entries, flattened row-major: entry e is
+# cos(theta/2 + _ZYZ_SHIFTS[e]) exp(angles @ _ZYZ_PHASES[:, e]), so
+# [ct, -st, st, ct] times [e^{-i(phi+lam)/2}, e^{-i(phi-lam)/2}, and conjugates]
+_ZYZ_SHIFTS = np.array([0.0, 0.5, -0.5, 0.0]) * np.pi
+_ZYZ_PHASES = -0.5j * np.array([[0, 0, 0, 0], [1, 1, -1, -1], [1, -1, 1, -1]])
 
 
-def _euler_zyz_jac(angles, rot) -> np.ndarray:
-    """Derivatives of ``rot = euler_zyz(*angles)`` by theta, phi and lam."""
-    theta, phi, lam = angles
-    return np.array([
-        0.5 * euler_zyz(theta + np.pi, phi, lam),  # cos/sin(theta/2) advance a quarter turn
-        rot * _HALF_Z_COL,  # -1j Z/2 on the left
-        rot * _HALF_Z_ROW,  # -1j Z/2 on the right
-    ])
+def _euler_zyz(angles, jac=False):
+    """:func:`euler_zyz` of ``(theta, phi, lam)`` along the last axis.
+
+    With ``jac`` the result is ``(rot, drot)``, ``drot`` of shape
+    ``S + (3, 2, 2)`` holding the derivatives by theta, phi and lam.
+    """
+    angles = np.asarray(angles, dtype=float)
+    shape = angles.shape[:-1] + (2, 2)
+    phases = np.exp(angles @ _ZYZ_PHASES)
+    half = 0.5 * angles[..., :1] + _ZYZ_SHIFTS
+    rot = np.cos(half) * phases
+    if not jac:
+        return rot.reshape(shape)
+    # phi and lam only enter the phases; theta only the magnitudes
+    drot = rot[..., None, :] * _ZYZ_PHASES
+    drot[..., 0, :] = -0.5 * np.sin(half) * phases
+    return rot.reshape(shape), drot.reshape(shape[:-2] + (3, 2, 2))
 
 
 def _kron_pair(a, b) -> np.ndarray:
@@ -224,24 +233,26 @@ def _kron_pair(a, b) -> np.ndarray:
 
 
 def _general_entangler(coupling, jac):
-    """``exp(-1j H)`` of a general coupling table, and its 16 derivatives.
+    """``exp(-1j H)`` of general coupling tables, and their 16 derivatives.
 
-    With ``jac`` the derivatives by the table entries come from
-    Daleckii-Krein on ``H = V diag(lam) V^dagger``:
+    ``coupling`` has shape ``S + (16,)``; the results have shapes
+    ``S + (4, 4)`` and ``S + (16, 4, 4)``.  With ``jac`` the derivatives by
+    the table entries come from Daleckii-Krein on ``H = V diag(lam) V^dagger``:
     ``dU = V ((V^dagger dH V) o D) V^dagger``, ``D`` the divided differences
     of ``exp(-1j lam)``; otherwise the second result is None.
     """
-    h = general_hamiltonian(GeneralCoupling(np.reshape(coupling, (4, 4))))
+    h = (coupling @ _PAULI_PAIRS.reshape(16, 16)).reshape(coupling.shape[:-1] + (4, 4))
     lam, v = np.linalg.eigh(h)
-    vh = v.conj().T
-    u = (v * np.exp(-1j * lam)) @ vh
+    vh = np.swapaxes(v.conj(), -1, -2)
+    u = (v * np.exp(-1j * lam)[..., None, :]) @ vh
     if not jac:
         return u, None
     # (e^{-ia} - e^{-ib}) / (a - b) = -i e^{-i(a+b)/2} sin(d)/d, d = (a - b)/2;
     # np.sinc(x) = sin(pi x)/(pi x) keeps this exact at a = b
-    gap = lam[:, None] - lam[None, :]
-    mean = 0.5 * (lam[:, None] + lam[None, :])
+    gap = lam[..., :, None] - lam[..., None, :]
+    mean = 0.5 * (lam[..., :, None] + lam[..., None, :])
     diff = -1j * np.exp(-1j * mean) * np.sinc(gap / (2.0 * np.pi))
+    v, vh, diff = v[..., None, :, :], vh[..., None, :, :], diff[..., None, :, :]
     return u, v @ ((vh @ _PAULI_PAIRS @ v) * diff) @ vh
 
 
@@ -254,28 +265,40 @@ def _apply_pair_gate(joint: np.ndarray, gate: np.ndarray, k: int, n: int) -> np.
 
 
 def _step_gate(coupling, model=COUPLING_XXZ, aux_angles=None, jac=False):
-    """Pair unitary of one step, ancilla first.
+    """Pair unitaries of the steps, ancilla first, built in one batch.
 
-    ``coupling`` is ``(h1, h2)`` for XXZ or the 16 entries of a general
-    coupling table; ``aux_angles``, when given, holds the ancilla then the
-    qubit ZYZ angles of the local rotations applied before the entangler.
-    With ``jac`` the result is ``(U, dU)``, ``dU[i]`` the derivative by the
-    ``i``-th parameter in the order couplings, ancilla angles, qubit angles.
+    ``coupling`` has shape ``S + (2,)`` holding ``(h1, h2)`` for XXZ, or
+    ``S + (16,)`` holding the entries of a general coupling table, with
+    ``S`` the step axes (``()`` for one step); ``aux_angles``, when given,
+    has shape ``S + (6,)`` and holds the ancilla then the qubit ZYZ angles
+    of the local rotations applied before the entangler.  The result ``U``
+    has shape ``S + (4, 4)``; with ``jac`` it is ``(U, dU)``, ``dU[..., i,
+    :, :]`` the derivative by the ``i``-th parameter in the order
+    couplings, ancilla angles, qubit angles.
     """
+    coupling = np.asarray(coupling, dtype=float)
     if model == COUPLING_XXZ:
-        u = xxz_unitary(coupling[0], coupling[1])
-        du = -1j * _XXZ_TERMS @ u if jac else None
+        u = xxz_unitary(coupling[..., 0], coupling[..., 1])
+        du = -1j * _XXZ_TERMS @ u[..., None, :, :] if jac else None
     else:
         u, du = _general_entangler(coupling, jac)
     if aux_angles is not None:
-        rot_a, rot_q = euler_zyz(*aux_angles[:3]), euler_zyz(*aux_angles[3:])
+        # both legs' rotations in one batch: axis -3 is (ancilla, qubit)
+        angles = np.reshape(aux_angles, np.shape(aux_angles)[:-1] + (2, 3))
+        if jac:
+            rots, drots = _euler_zyz(angles, jac=True)
+        else:
+            rots = _euler_zyz(angles)
+        rot_a, rot_q = rots[..., 0, :, :], rots[..., 1, :, :]
         local = _kron_pair(rot_a, rot_q)
         if jac:
-            du = np.concatenate([
-                du @ local,
-                u @ _kron_pair(_euler_zyz_jac(aux_angles[:3], rot_a), rot_q),
-                u @ _kron_pair(rot_a, _euler_zyz_jac(aux_angles[3:], rot_q)),
-            ])
+            dlocal = np.concatenate([
+                _kron_pair(drots[..., 0, :, :, :], rot_q[..., None, :, :]),
+                _kron_pair(rot_a[..., None, :, :], drots[..., 1, :, :, :]),
+            ], axis=-3)
+            du = np.concatenate(
+                [du @ local[..., None, :, :], u[..., None, :, :] @ dlocal], axis=-3
+            )
         u = u @ local
     return (u, du) if jac else u
 
@@ -312,10 +335,10 @@ def sequential_generate(schedule: CouplingSchedule, n: int) -> np.ndarray:
             f"schedule has {len(schedule.steps)} steps but the register has {n} qubits"
         )
     phi = schedule.phi_initial
-    angles = [None] * n
+    angles = None
     if schedule.aux_enabled:
         angles = np.hstack([schedule.aux_ancilla, schedule.aux_qubit])
-    gates = [_step_gate((s.h1, s.h2), aux_angles=a) for s, a in zip(schedule.steps, angles)]
+    gates = _step_gate([(s.h1, s.h2) for s in schedule.steps], aux_angles=angles)
     if schedule.aux_enabled:
         phi = euler_zyz(*schedule.aux_ancilla_initial) @ phi
         gates[-1] = np.kron(euler_zyz(*schedule.aux_ancilla_final), PAULI[0]) @ gates[-1]
@@ -344,18 +367,14 @@ def fidelity_vs_target(joint: np.ndarray, target: np.ndarray) -> tuple[float, np
     return f, phi
 
 
-# --- coordinate-descent optimization ----------------------------------------
+# --- optimization -------------------------------------------------------------
 
 
 class _CostEngine:
-    """Cost ``2 (1 - F)`` and its exact gradient, whole or one block at a time.
+    """Cost ``2 (1 - F)`` of a flat parameter vector, and its exact gradient.
 
-    For the block at step ``k`` only that step's pair gate changes.  The
-    state after steps ``1..k-1`` and the two ancilla-labelled bras obtained
-    by pulling steps ``k+1..n`` onto the target are contracted over all
-    untouched indices once per block, leaving a pair of 4x4 environment
-    tensors; each trial evaluation is then a gate build plus two Frobenius
-    inner products, and its gradient the same products with ``dU``.
+    The parameters are ``n`` rows of ``block_size``, one per step: the
+    couplings, then the ancilla and the qubit ZYZ angles when ``aux``.
     """
 
     def __init__(self, target, n, aux, model):
@@ -377,13 +396,14 @@ class _CostEngine:
     def param_count(self):
         return self.n * self.block_size
 
-    def step_gate(self, block_row, jac=False):
-        aux_angles = block_row[self.nstep:] if self.aux else None
-        return _step_gate(block_row[: self.nstep], self.model, aux_angles, jac)
+    def gates(self, params, jac=False):
+        """All ``n`` step gates (with their derivatives when ``jac``)."""
+        rows = params.reshape(self.n, self.block_size)
+        aux_angles = rows[:, self.nstep:] if self.aux else None
+        return _step_gate(rows[:, : self.nstep], self.model, aux_angles, jac)
 
     def generate(self, params):
-        rows = params.reshape(self.n, self.block_size)
-        return _evolve([self.step_gate(r) for r in rows], self.n)
+        return _evolve(self.gates(params), self.n)
 
     def cost(self, params):
         f, _ = fidelity_vs_target(self.generate(params), self.target)
@@ -395,120 +415,54 @@ class _CostEngine:
         With ``w^H dw = <chi_k, dU_k psi_{k-1}>`` for the bra
         ``chi_k = (U_n ... U_{k+1})^dagger (w (x) target)``, one forward pass
         keeps the states ``psi_0 .. psi_{n-1}`` and one backward pass pulls
-        ``chi`` through the steps, contracting it with each kept state.
+        ``chi`` through the steps, contracting it with each kept state into
+        the 16 weights ``pull_k`` with ``w^H dw = <pull_k, dU_k>``.  Then
+        ``dF = Re(w^H dw) / F``; at ``F = 0``, where ``||w||`` has no
+        derivative, the gradient is taken as zero.
         """
         n = self.n
-        gates = [self.step_gate(r, jac=True) for r in params.reshape(n, self.block_size)]
-        states = list(_trajectory([u for u, _ in gates], n))
+        u, du = self.gates(params, jac=True)
+        states = list(_trajectory(u, n))
         w = states.pop().reshape(2, 2**n) @ self.target.conj()
         f = float(np.linalg.norm(w))
-        grad = np.empty((n, self.block_size))
-        bra = np.kron(w, self.target)
+        if f == 0.0:
+            return 2.0, np.zeros(self.param_count())
+        pulls = np.empty((n, 16), dtype=np.complex128)
+        bra = np.outer(w, self.target).reshape(-1)
         for k in range(n, 0, -1):
-            u, du = gates[k - 1]
             hi, lo = 2 ** (n - k), 2 ** (k - 1)
-            pull = np.einsum(
+            pulls[k - 1] = np.einsum(
                 "bhjl,ahil->bjai",
                 bra.conj().reshape(2, hi, 2, lo),
                 states[k - 1].reshape(2, hi, 2, lo),
             ).reshape(16)
-            grad[k - 1] = _cost_grad(f, pull, du)
-            bra = _apply_pair_gate(bra, u.conj().T, k, n)
-        return 2.0 * (1.0 - f), grad.reshape(-1)
-
-    def _suffix_bras(self, rows, k):
-        """Rows ``a``: ``(U_n ... U_{k+1})^dagger (|a> (x) target)``."""
-        bras = np.zeros((2, 2 ** (self.n + 1)), dtype=np.complex128)
-        bras[0, : 2**self.n] = self.target
-        bras[1, 2**self.n:] = self.target
-        for j in range(self.n, k, -1):
-            gate_h = self.step_gate(rows[j - 1]).conj().T
-            for a in range(2):
-                bras[a] = _apply_pair_gate(bras[a], gate_h, j, self.n)
-        return bras
-
-    def block_cost_fn(self, params, k):
-        """Closure giving cost and gradient as a function of step ``k``'s params.
-
-        ``w_a(U) = <env_a, U>_F`` with the environments fixed, so one
-        evaluation costs a gate build with its derivatives plus a few
-        16-element dot products, independent of the register size.
-        """
-        rows = params.reshape(self.n, self.block_size)
-        hi, lo = 2 ** (self.n - k), 2 ** (k - 1)
-        prefix = _evolve([self.step_gate(r) for r in rows[: k - 1]], self.n).reshape(2, hi, 2, lo)
-        suffix = self._suffix_bras(rows, k).conj().reshape(2, 2, hi, 2, lo)
-        env = np.einsum("wbhjl,ahil->wbjai", suffix, prefix, optimize=True).reshape(2, 16)
-
-        def fn(x):
-            u, du = self.step_gate(x, jac=True)
-            w = env @ u.reshape(16)
-            f = float(np.linalg.norm(w))
-            return 2.0 * (1.0 - f), _cost_grad(f, w.conj() @ env, du)
-
-        return fn
-
-    def block_slice(self, k):
-        start = (k - 1) * self.block_size
-        return slice(start, start + self.block_size)
-
-
-def _cost_grad(f, pull, du):
-    """Gradient of ``2 (1 - f)``, ``f = ||w||``, by the parameters of one gate.
-
-    ``pull`` holds the 16 weights with ``w^H dw = <pull, dU>`` summed over
-    entries, so ``d f = Re(w^H dw) / f``.  At ``f = 0``, where ``||w||`` has
-    no derivative, the gradient is taken as zero.
-    """
-    if f == 0.0:
-        return np.zeros(len(du))
-    return (-2.0 / f) * (du.reshape(len(du), 16) @ pull).real
+            bra = _apply_pair_gate(bra, u[k - 1].conj().T, k, n)
+        grad = (du.reshape(n, self.block_size, 16) @ pulls[:, :, None]).real
+        return 2.0 * (1.0 - f), (-2.0 / f) * grad.reshape(-1)
 
 
 def _descend(engine: _CostEngine, params, max_sweeps, sweep_tol, inner_maxfev):
-    """Back-and-forth block coordinate descent plus a joint polish.
+    """One L-BFGS-B run on all parameters; returns (params, history, converged).
 
-    Each block solve is an L-BFGS-B run on one step's parameters with
-    ``inner_maxfev`` as its ``maxfun`` budget, accepted only if it lowers
-    the cost, so the recorded per-sweep cost sequence is non-increasing.
-    After the sweeps, an L-BFGS-B run on all parameters refines the
-    surviving point; it too is accepted only if it lowers the cost.
+    The budget ``2 n max_sweeps inner_maxfev`` of cost-and-gradient
+    evaluations binds as both ``maxfun`` and ``maxiter``; ``history`` holds
+    the starting cost and the cost after each iteration.
     """
-    blocks = list(range(1, engine.n + 1))
-    cost = engine.cost(params)
-    history = [cost]
-    converged = False
-    for _ in range(max_sweeps):
-        before = cost
-        for block in blocks + blocks[::-1]:
-            sl = engine.block_slice(block)
-            res = minimize(
-                engine.block_cost_fn(params, block),
-                params[sl],
-                jac=True,
-                method="L-BFGS-B",
-                options={"maxfun": inner_maxfev, "ftol": 1e-15, "gtol": 1e-12},
-            )
-            if res.fun < cost:
-                params[sl] = res.x
-                cost = float(res.fun)
-        history.append(cost)
-        if before - cost < sweep_tol:
-            converged = True
-            break
-    if cost > 0.0:
-        res = minimize(
-            engine.cost_and_grad,
-            params,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxfun": 400 * engine.param_count(), "ftol": 1e-15, "gtol": 1e-12},
-        )
-        if res.fun < cost:
-            params = res.x
-            cost = float(res.fun)
-            history.append(cost)
-    return params, history, converged
+    history = [engine.cost(params)]
+
+    def record(intermediate_result):
+        history.append(float(intermediate_result.fun))
+
+    budget = 2 * engine.n * max_sweeps * inner_maxfev
+    res = minimize(
+        engine.cost_and_grad,
+        params,
+        jac=True,
+        method="L-BFGS-B",
+        callback=record,
+        options={"maxfun": budget, "maxiter": budget, "ftol": sweep_tol, "gtol": 1e-12},
+    )
+    return res.x, history, res.status != 1
 
 
 def optimize_schedule(
@@ -522,22 +476,30 @@ def optimize_schedule(
     sweep_tol: float = _SWEEP_TOL,
     inner_maxfev: int = _INNER_MAXFEV,
 ) -> SynthesisResult:
-    """Coordinate-descent search for couplings preparing ``target``.
+    """Gradient search for couplings preparing ``target``.
 
-    Per sweep, every step's couplings (plus its qubit and ancilla rotation
-    angles when ``aux``) are minimized one block at a time by L-BFGS-B on
-    the exact gradient, holding the rest fixed; ``inner_maxfev`` is each
-    block solve's budget of cost-and-gradient evaluations (L-BFGS-B's
-    ``maxfun``, checked between iterations).  Sweeps run back and forth, at
-    most ``max_sweeps`` of them, until one lowers the cost by less than
-    ``sweep_tol`` (``sweep_tol=0`` runs all ``max_sweeps``).  A closing
-    L-BFGS-B polish of all parameters is kept only if it lowers the cost.  The whole descent is repeated from ``restarts`` random starting
-    points (child seeds spawned from ``seed``) and the best run is returned.
+    Each restart runs L-BFGS-B once on all parameters (every step's
+    couplings, plus its ancilla and qubit rotation angles when ``aux``) on
+    the exact gradient of the cost ``2 (1 - F)``.  The keywords keep the
+    names of the block sweeps this replaced and map onto L-BFGS-B as:
 
-    ``converged`` is False when the sweeps did not stall within
-    ``max_sweeps``, and also when the best fidelity is 0: there the cost
-    is flat (XXZ without ``aux`` conserves the excitation number, so it
-    never leaves ``|0...0>``) and stalling says nothing about an optimum.
+    * ``2 n max_sweeps inner_maxfev`` cost-and-gradient evaluations, the
+      budget the sweeps had, is both ``maxfun`` and ``maxiter``;
+    * ``sweep_tol`` is ``ftol``: for a cost of at most 1 the run stops once
+      an iteration lowers the cost by less than ``sweep_tol``
+      (``sweep_tol=0`` runs until the gradient vanishes, the line search
+      fails or the budget is spent);
+    * ``gtol`` is fixed at 1e-12.
+
+    The run is repeated from ``restarts`` random starting points (child
+    seeds spawned from ``seed``) and the best is returned; its
+    ``cost_history`` holds the starting cost and the cost after each
+    iteration, and ``iterations`` counts the iterations.
+
+    ``converged`` is False when the run stopped on its budget, and also
+    when the best fidelity is 0: there the cost is flat (XXZ without
+    ``aux`` conserves the excitation number, so it never leaves
+    ``|0...0>``) and stopping says nothing about an optimum.
 
     The closing ancilla rotation is cost-neutral here because the free final
     ancilla state is already optimized in closed form, so it is left at
@@ -553,19 +515,24 @@ def optimize_schedule(
         raise ValueError(f"unknown coupling model {coupling_model!r}")
     if restarts < 1:
         raise ValueError("need at least one restart")
+    if max_sweeps < 1 or inner_maxfev < 1:
+        raise ValueError(
+            f"max_sweeps and inner_maxfev must be >= 1, got {max_sweeps} and {inner_maxfev}"
+        )
+    if not (math.isfinite(sweep_tol) and sweep_tol >= 0.0):
+        raise ValueError(f"sweep_tol must be finite and >= 0, got {sweep_tol!r}")
 
     engine = _CostEngine(target, n, aux, coupling_model)
     children = np.random.SeedSequence(seed).spawn(restarts)
     best = None
     for child in children:
         rng = np.random.default_rng(child)
-        params = np.zeros(engine.param_count())
-        for k in range(n):
-            sl = engine.block_slice(k + 1)
-            block = rng.uniform(-np.pi, np.pi, size=engine.block_size)
+        rows = np.zeros((n, engine.block_size))
+        for row in rows:
+            row[:] = rng.uniform(-np.pi, np.pi, size=engine.block_size)
             if aux:
-                block[engine.nstep:] = rng.uniform(0.0, 2.0 * np.pi, size=6)
-            params[sl] = block
+                row[engine.nstep:] = rng.uniform(0.0, 2.0 * np.pi, size=6)
+        params = rows.reshape(-1)
         params, history, converged = _descend(
             engine, params, max_sweeps, sweep_tol, inner_maxfev
         )

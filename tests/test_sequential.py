@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from seqclone import sequential
 from seqclone.cloning import GMSpec, KET_PLUS, gm_state
 from seqclone.errors import StructureError
 from seqclone.linalg import hermitian_expm
@@ -22,6 +23,8 @@ from seqclone.sequential import (
     xxz_hamiltonian,
     xxz_unitary,
     _CostEngine,
+    _XXZ_TERMS,
+    _general_entangler,
     _step_gate,
 )
 
@@ -201,17 +204,6 @@ class TestGradient:
         assert abs(cost - engine.cost(params)) < 1e-14
         assert np.max(np.abs(grad - central_difference(engine.cost, params))) < 1e-7
 
-    @pytest.mark.parametrize("model,aux,n", GRADIENT_CASES)
-    def test_block_gradient_matches_finite_differences(self, model, aux, n):
-        engine, params = self.engine_and_params(model, aux, n)
-        for k in range(1, n + 1):
-            fn = engine.block_cost_fn(params, k)
-            x = params[engine.block_slice(k)]
-            cost, grad = fn(x)
-            assert abs(cost - engine.cost(params)) < 1e-13
-            fd = central_difference(lambda y: fn(y)[0], x)
-            assert np.max(np.abs(grad - fd)) < 1e-7
-
     @pytest.mark.parametrize("model,aux", GRADIENT_MODELS)
     def test_gradient_path_uses_the_step_gate(self, model, aux):
         rng = np.random.default_rng(8)
@@ -221,6 +213,40 @@ class TestGradient:
         assert np.max(np.abs(u - _step_gate(coupling, model, angles))) <= 1e-14
         assert du.shape == (coupling.size + (6 if aux else 0), 4, 4)
 
+    @pytest.mark.parametrize(
+        "model,aux", [(m, a) for m in (COUPLING_XXZ, COUPLING_GENERAL) for a in (True, False)]
+    )
+    def test_batched_step_gates_match_per_step_builds(self, model, aux):
+        rng = np.random.default_rng(11)
+        n = 4
+        couplings = rng.uniform(-np.pi, np.pi, (n, 2 if model == COUPLING_XXZ else 16))
+        angles = rng.uniform(0.0, 2.0 * np.pi, (n, 6)) if aux else None
+        u, du = _step_gate(couplings, model, angles, jac=True)
+        half_z = -0.5j * PAULI[3]
+        for k in range(n):
+            if model == COUPLING_XXZ:
+                ref_u = xxz_unitary(*couplings[k])
+                ref_du = [-1j * g @ ref_u for g in _XXZ_TERMS]
+            else:
+                ref_u, ref_du = _general_entangler(couplings[k], True)
+                ref_du = list(ref_du)
+            if aux:
+                rots = [euler_zyz(*angles[k, :3]), euler_zyz(*angles[k, 3:])]
+                jacs = [
+                    [0.5 * euler_zyz(a[0] + np.pi, a[1], a[2]), half_z @ r, r @ half_z]
+                    for a, r in zip((angles[k, :3], angles[k, 3:]), rots)
+                ]
+                local = np.kron(*rots)
+                ref_du = (
+                    [d @ local for d in ref_du]
+                    + [ref_u @ np.kron(d, rots[1]) for d in jacs[0]]
+                    + [ref_u @ np.kron(rots[0], d) for d in jacs[1]]
+                )
+                ref_u = ref_u @ local
+            assert np.max(np.abs(u[k] - ref_u)) <= 1e-14
+            assert np.max(np.abs(du[k] - np.array(ref_du))) <= 1e-14
+        assert np.array_equal(_step_gate(couplings, model, angles), u)
+
     def test_zero_overlap_gives_zero_gradient(self):
         # XXZ without aux keeps |0...0>, which the |+> cloner state misses
         engine = _CostEngine(gm_state(GMSpec(2, KET_PLUS)), 3, False, COUPLING_XXZ)
@@ -228,9 +254,6 @@ class TestGradient:
         cost, grad = engine.cost_and_grad(params)
         assert cost == 2.0
         assert np.all(grad == 0.0)
-        block_cost, block_grad = engine.block_cost_fn(params, 2)(params[engine.block_slice(2)])
-        assert block_cost == 2.0
-        assert np.all(block_grad == 0.0)
 
 
 class TestOptimizeSchedule:
@@ -303,6 +326,59 @@ class TestOptimizeSchedule:
             optimize_schedule(target, 3, aux=True, coupling_model="bogus")
         with pytest.raises(ValueError):
             optimize_schedule(target, 3, aux=True, restarts=0)
+
+    @pytest.mark.parametrize("keywords", [
+        {"max_sweeps": 0}, {"inner_maxfev": 0}, {"sweep_tol": -1e-12},
+        {"sweep_tol": float("nan")}, {"sweep_tol": float("inf")},
+    ], ids=["max_sweeps", "inner_maxfev", "negative_tol", "nan_tol", "inf_tol"])
+    def test_rejects_invalid_budget_keywords(self, keywords):
+        target = gm_state(GMSpec(2, KET_PLUS))
+        with pytest.raises(ValueError, match=next(iter(keywords))):
+            optimize_schedule(target, 3, aux=True, restarts=1, **keywords)
+
+    @staticmethod
+    def counting_minimize(monkeypatch):
+        """Patch ``sequential.minimize`` to keep every result it returns."""
+        results, real = [], sequential.minimize
+
+        def counted(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(sequential, "minimize", counted)
+        return results
+
+    def test_one_optimizer_run_per_restart(self, monkeypatch):
+        results = self.counting_minimize(monkeypatch)
+        target = gm_state(GMSpec(2, KET_PLUS))
+        res = optimize_schedule(
+            target, 3, aux=True, restarts=1, seed=3, max_sweeps=60, inner_maxfev=300
+        )
+        assert len(results) == 1
+        assert res.iterations == results[0].nit == len(res.cost_history) - 1
+        assert 1.0 - res.fidelity <= 1e-6
+        optimize_schedule(target, 3, aux=True, restarts=3, seed=3, max_sweeps=2)
+        assert len(results) == 4
+
+    def test_spent_budget_is_not_converged(self):
+        target = gm_state(GMSpec(2, KET_PLUS))
+        res = optimize_schedule(
+            target, 3, aux=True, restarts=1, seed=3, max_sweeps=1, inner_maxfev=1
+        )
+        assert res.converged is False
+        assert res.iterations == len(res.cost_history) - 1
+
+    def test_zero_sweep_tol_runs_until_lbfgsb_stops(self, monkeypatch):
+        results = self.counting_minimize(monkeypatch)
+        target = gm_state(GMSpec(3, KET_PLUS))
+        res = optimize_schedule(
+            target, 5, aux=True, restarts=1, seed=5, max_sweeps=60, sweep_tol=0.0
+        )
+        (run,) = results
+        # neither the budget nor the ftol test stopped it
+        assert run.status != 1 and "REL_REDUCTION_OF_F" not in run.message
+        assert res.converged is True
+        assert res.iterations == run.nit
 
     def test_general_couplings_reach_exact_preparation(self):
         # sanity: the unrestricted 16-parameter generator must do at least
