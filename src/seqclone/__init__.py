@@ -46,11 +46,9 @@ from .mps import (
 )
 from .sequential import (
     CouplingSchedule,
-    GeneralCoupling,
     StepCoupling,
     SynthesisResult,
     fidelity_vs_target,
-    general_hamiltonian,
     optimize_schedule,
     sequential_generate,
     xxz_hamiltonian,

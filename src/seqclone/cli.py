@@ -133,7 +133,7 @@ def _qubit_cap() -> int:
         return DEFAULT_MAX_QUBITS
     if cap > DEFAULT_MAX_QUBITS:
         print(
-            f"warning: SEQCLONE_MAX_QUBITS={cap} raises the dense cap above "
+            f"warning: SEQCLONE_MAX_QUBITS={cap} raises the register cap above "
             f"{DEFAULT_MAX_QUBITS}; this is unsupported territory",
             file=sys.stderr,
         )
@@ -144,7 +144,7 @@ def _check_register(n: int) -> None:
     cap = _qubit_cap()
     if n > cap:
         raise ResourceLimitError(
-            f"register of {n} qubits exceeds the dense cap ({cap}); "
+            f"register of {n} qubits exceeds the register cap ({cap}); "
             "set SEQCLONE_MAX_QUBITS to override"
         )
 
@@ -178,14 +178,13 @@ def _regularize_point(task):
 
 
 def _synthesize_point(task):
-    n, aux, restarts, model, qubit_re_im, max_sweeps, seed = task
+    n, aux, restarts, qubit_re_im, max_sweeps, seed = task
     clones = (n + 1) // 2
     spec = GMSpec(clones, PureQubit(*qubit_re_im))
     target = gm_state(spec)
     start = time.perf_counter()
     result = sequential.optimize_schedule(
-        target, n, aux=aux, restarts=restarts, seed=seed,
-        coupling_model=model, max_sweeps=max_sweeps,
+        target, n, aux=aux, restarts=restarts, seed=seed, max_sweeps=max_sweeps
     )
     wall = time.perf_counter() - start
     return {
@@ -194,7 +193,7 @@ def _synthesize_point(task):
         "M": clones,
         "bond_cap": None,
         "aux": "on" if aux else "off",
-        "method": model,
+        "method": sequential.COUPLING_XXZ,
         "fidelity": result.fidelity,
         "error": 1.0 - result.fidelity,
         "sweeps": result.iterations,
@@ -280,8 +279,6 @@ def _cmd_synthesize(args) -> int:
     qubit_list = _parse_int_list(args.qubits, "qubits")
     if args.aux not in ("on", "off"):
         raise ConfigError(f"aux: expected on/off, got {args.aux!r}")
-    if args.coupling_model not in (sequential.COUPLING_XXZ, sequential.COUPLING_GENERAL):
-        raise ConfigError(f"coupling-model: unknown model {args.coupling_model!r}")
     if args.restarts < 1:
         raise ConfigError(f"restarts: must be >= 1, got {args.restarts}")
     if args.max_sweeps < 1:
@@ -292,10 +289,7 @@ def _cmd_synthesize(args) -> int:
             raise ConfigError(f"qubits: register must be a positive odd count, got {n}")
         _check_register(n)
     tasks = [
-        (
-            n, args.aux == "on", args.restarts, args.coupling_model,
-            (qubit.alpha, qubit.beta), args.max_sweeps, args.seed,
-        )
+        (n, args.aux == "on", args.restarts, (qubit.alpha, qubit.beta), args.max_sweeps, args.seed)
         for n in qubit_list
     ]
     rows = _run_pool(_synthesize_point, tasks, args.threads)
@@ -402,11 +396,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--qubits", help="register sizes (odd), comma separated")
     p.add_argument("--aux", choices=("on", "off"), default="on")
     p.add_argument("--restarts", type=int, default=8)
-    p.add_argument(
-        "--coupling-model",
-        choices=(sequential.COUPLING_XXZ, sequential.COUPLING_GENERAL),
-        default=sequential.COUPLING_XXZ,
-    )
     p.add_argument("--max-sweeps", type=int, default=200)
 
     p = subparsers["gm-info"] = sub.add_parser(

@@ -89,9 +89,9 @@ def fidelity(a: MatrixProductState, b: MatrixProductState) -> float:
         raise StructureError(f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}")
     for name, m in (("a", a), ("b", b)):
         nrm = mps_mod.norm(m)
-        if abs(nrm - 1.0) > 1e-10:
+        if not abs(nrm - 1.0) <= 1e-10:  # also rejects NaN and inf
             raise ValueError(f"argument {name} must be normalized, got norm {nrm!r}")
-    return min(1.0, abs(mps_mod.overlap(a, b)))
+    return min(abs(mps_mod.overlap(a, b)), 1.0)
 
 
 def _absorb_boundaries(m: MatrixProductState) -> MatrixProductState:
@@ -123,7 +123,7 @@ def svd_truncate_mps(
     """
     if bond_cap < 1:
         raise ValueError(f"bond cap must be >= 1, got {bond_cap}")
-    if target.left_orthonormality_defect() > 1e-8:
+    if not target.left_orthonormality_defect() <= 1e-8:  # also rejects NaN
         raise CanonicalFormError(
             "per-bond truncation needs a left-orthonormal (canonical) chain; "
             "rebuild it with from_statevector first"
@@ -154,7 +154,7 @@ def svd_truncate_mps(
 
     truncated = MatrixProductState(sites=sites)
     truncated.sites[0] = truncated.sites[0] / mps_mod.norm(truncated)
-    f = min(1.0, abs(mps_mod.overlap(target, truncated)))
+    f = min(abs(mps_mod.overlap(target, truncated)), 1.0)
     report = FidelityReport(
         fidelity=f,
         error=1.0 - f,
@@ -253,6 +253,8 @@ def variational_compress(
         raise ValueError("use svd_truncate_mps for the pure truncation method")
     target = _absorb_boundaries(req.target_mps())
     nrm = mps_mod.norm(target)
+    if not 0.0 < nrm < np.inf:  # also rejects NaN
+        raise ValueError(f"target norm must be positive and finite, got {nrm!r}")
     if abs(nrm - 1.0) > 1e-10:
         target.sites[0] = target.sites[0] / nrm
     n = target.n_qubits
@@ -288,7 +290,7 @@ def variational_compress(
 
     out = MatrixProductState(sites=work.xs)
     out.sites[0] = out.sites[0] / mps_mod.norm(out)
-    f = min(1.0, abs(mps_mod.overlap(target, out)))
+    f = min(abs(mps_mod.overlap(target, out)), 1.0)
     if seed_report is not None and 1.0 - f > seed_report.error:
         # the sweep never beat its seed (left intact by the workspace); hand it back
         out, f = trial, seed_report.fidelity
@@ -343,7 +345,7 @@ def regularization_scan(
     n = spec.qubits
     if n > MAX_SCAN_QUBITS:
         raise ResourceLimitError(
-            f"register of {n} qubits exceeds the dense-construction cap "
+            f"register of {n} qubits exceeds the register cap "
             f"({MAX_SCAN_QUBITS})"
         )
     for method in methods:

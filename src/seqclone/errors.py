@@ -21,7 +21,7 @@ class NumericalFailure(RuntimeError):
 
 
 class ResourceLimitError(RuntimeError):
-    """Requested problem size exceeds the configured dense-simulation cap."""
+    """Requested register size exceeds the configured register cap."""
 
 
 def check_fidelity(value: float) -> None:

@@ -91,12 +91,13 @@ class MatrixProductState:
         return max(self.bond_dimensions)
 
     def left_orthonormality_defect(self) -> float:
-        """Largest deviation of any site from the canonical isometry condition."""
+        """Largest deviation of any site from the canonical isometry condition
+        (NaN when a site holds NaN)."""
         worst = 0.0
         for t in self.sites:
             gram = np.einsum("ilr,ils->rs", t.conj(), t)
-            worst = max(worst, float(np.max(np.abs(gram - np.eye(t.shape[2])))))
-        return worst
+            worst = np.maximum(worst, np.max(np.abs(gram - np.eye(t.shape[2]))))
+        return float(worst)
 
     def copy(self) -> "MatrixProductState":
         return MatrixProductState(
@@ -148,7 +149,7 @@ def from_statevector(v: np.ndarray, rank_tol: float = 0.0) -> MatrixProductState
     if rank_tol < 0:
         raise ValueError(f"rank_tol must be >= 0, got {rank_tol}")
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > 1e-10:
+    if not abs(norm - 1.0) <= 1e-10:  # also rejects NaN and inf
         raise ValueError(f"statevector must be normalized, got norm {norm!r}")
 
     sites: list[np.ndarray] = []
@@ -242,8 +243,7 @@ def _encode_array(a: np.ndarray) -> dict:
 
 def _decode_array(doc: dict) -> np.ndarray:
     parts = np.array([float(x) for x in doc["data"]], dtype=np.float64)
-    flat = parts[0::2] + 1j * parts[1::2]
-    return flat.reshape(doc["shape"])
+    return parts.view(np.complex128).reshape(doc["shape"])
 
 
 def to_json(m: MatrixProductState) -> str:

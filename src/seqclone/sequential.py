@@ -8,19 +8,24 @@ XXZ-type coupling::
 
 optionally augmented by unrestricted local rotations on both legs of every
 step (one on the fresh qubit, one on the ancilla, applied just before the
-entangler) plus extra ancilla rotations before the first and after the last
-step.  The free final ancilla state is optimized in closed form, giving the
-cost ``2 (1 - F)`` with ``F`` the modulus of the ancilla-contracted overlap
-against a fixed target register state.
+entangler).  The ancilla starts in ``|0>``; with the rotations on, the one
+before the first step covers any other start.  The free final ancilla state
+is optimized in closed form, giving the cost ``2 (1 - F)`` with ``F`` the
+modulus of the ancilla-contracted overlap against a fixed target register
+state.
+
+The unrestricted interaction, a free two-qubit unitary per step, is not
+searched here: sequential preparations with a two-level ancilla are exactly
+the bond-2 chains (Schoen et al., PRL 95, 110503 (2005)), so its optimum is
+the cap-2 compression of :mod:`seqclone.compression`, the baseline the
+restricted entangler is measured against.
 
 Couplings are optimized by one L-BFGS-B run on all parameters per random
 restart, on the exact gradient: one forward pass keeps the states between
 steps and one backward pass pulls the target bra through them, so a
 cost-and-gradient evaluation costs O(n) pair-gate applications.  The step
-gates and their derivatives are built for all steps in one batch:
-closed-form derivatives of the XXZ entangler and the ZYZ rotations, and
-Daleckii-Krein divided differences on the eigendecomposition of the
-general generator.
+gates and their derivatives are built for all steps in one batch from the
+closed-form derivatives of the XXZ entangler and the ZYZ rotations.
 
 Layout conventions: joint vectors are indexed ancilla-first
 (``index = a * 2**n + q``), the register index ``q`` reads ``i_n ... i_1``
@@ -46,12 +51,6 @@ PAULI = (
 )
 
 COUPLING_XXZ = "xxz"
-COUPLING_GENERAL = "general"
-
-# all sixteen sigma_jA (x) sigma_jQ products, flattened over (jA, jQ)
-_PAULI_PAIRS = np.array(
-    [np.kron(a, b) for a in PAULI for b in PAULI], dtype=np.complex128
-)
 
 _SWEEP_TOL = 1e-10
 _MAX_SWEEPS = 200
@@ -70,28 +69,13 @@ class StepCoupling:
             raise ValueError("couplings must be finite")
 
 
-@dataclass(frozen=True)
-class GeneralCoupling:
-    """Real 4x4 coupling table over Pauli pairs (ancilla index, qubit index)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError(f"coupling table must be 4x4, got {m.shape}")
-        object.__setattr__(self, "matrix", m)
-
-
 @dataclass
 class CouplingSchedule:
     """Full parameterization of an ``n``-step sequential preparation.
 
     ``aux_qubit[k]`` and ``aux_ancilla[k]`` hold ZYZ Euler angles of the
     local rotations applied to qubit ``k + 1`` and to the ancilla right
-    before interaction step ``k + 1``; ``aux_ancilla_initial`` and
-    ``aux_ancilla_final`` are extra ancilla rotations before the first and
-    after the last step.  All aux rotations are skipped unless
+    before interaction step ``k + 1``; they are skipped unless
     ``aux_enabled``.
 
     Rotations on *both* legs of every step are needed for the restricted
@@ -103,11 +87,6 @@ class CouplingSchedule:
     aux_enabled: bool = False
     aux_qubit: np.ndarray | None = None
     aux_ancilla: np.ndarray | None = None
-    aux_ancilla_initial: np.ndarray = dc_field(default_factory=lambda: np.zeros(3))
-    aux_ancilla_final: np.ndarray = dc_field(default_factory=lambda: np.zeros(3))
-    phi_initial: np.ndarray = dc_field(
-        default_factory=lambda: np.array([1.0, 0.0], dtype=np.complex128)
-    )
 
     def __post_init__(self):
         if not self.steps:
@@ -122,12 +101,8 @@ class CouplingSchedule:
         for name, arr in (("aux_qubit", self.aux_qubit), ("aux_ancilla", self.aux_ancilla)):
             if arr.shape != (n, 3):
                 raise ValueError(f"{name} must have shape ({n}, 3), got {arr.shape}")
-        self.aux_ancilla_initial = np.asarray(self.aux_ancilla_initial, dtype=float).reshape(3)
-        self.aux_ancilla_final = np.asarray(self.aux_ancilla_final, dtype=float).reshape(3)
-        self.phi_initial = np.asarray(self.phi_initial, dtype=np.complex128).reshape(2)
-        nrm = np.linalg.norm(self.phi_initial)
-        if abs(nrm - 1.0) > 1e-12:
-            raise ValueError(f"phi_initial must be normalized, got norm {nrm!r}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} angles must be finite")
 
 
 @dataclass
@@ -191,11 +166,6 @@ def xxz_unitary(h1, h2) -> np.ndarray:
 _XXZ_TERMS = np.array([xxz_hamiltonian(1.0, 0.0), xxz_hamiltonian(0.0, 1.0)])
 
 
-def general_hamiltonian(c: GeneralCoupling) -> np.ndarray:
-    """Full two-body generator ``sum_jk c[j, k] sigma_j (x) sigma_k``."""
-    return np.tensordot(c.matrix.reshape(16), _PAULI_PAIRS, axes=(0, 0))
-
-
 # ZYZ rotation entries, flattened row-major: entry e is
 # cos(theta/2 + _ZYZ_SHIFTS[e]) exp(angles @ _ZYZ_PHASES[:, e]), so
 # [ct, -st, st, ct] times [e^{-i(phi+lam)/2}, e^{-i(phi-lam)/2}, and conjugates]
@@ -232,30 +202,6 @@ def _kron_pair(a, b) -> np.ndarray:
     return k.reshape(k.shape[:-4] + (4, 4))
 
 
-def _general_entangler(coupling, jac):
-    """``exp(-1j H)`` of general coupling tables, and their 16 derivatives.
-
-    ``coupling`` has shape ``S + (16,)``; the results have shapes
-    ``S + (4, 4)`` and ``S + (16, 4, 4)``.  With ``jac`` the derivatives by
-    the table entries come from Daleckii-Krein on ``H = V diag(lam) V^dagger``:
-    ``dU = V ((V^dagger dH V) o D) V^dagger``, ``D`` the divided differences
-    of ``exp(-1j lam)``; otherwise the second result is None.
-    """
-    h = (coupling @ _PAULI_PAIRS.reshape(16, 16)).reshape(coupling.shape[:-1] + (4, 4))
-    lam, v = np.linalg.eigh(h)
-    vh = np.swapaxes(v.conj(), -1, -2)
-    u = (v * np.exp(-1j * lam)[..., None, :]) @ vh
-    if not jac:
-        return u, None
-    # (e^{-ia} - e^{-ib}) / (a - b) = -i e^{-i(a+b)/2} sin(d)/d, d = (a - b)/2;
-    # np.sinc(x) = sin(pi x)/(pi x) keeps this exact at a = b
-    gap = lam[..., :, None] - lam[..., None, :]
-    mean = 0.5 * (lam[..., :, None] + lam[..., None, :])
-    diff = -1j * np.exp(-1j * mean) * np.sinc(gap / (2.0 * np.pi))
-    v, vh, diff = v[..., None, :, :], vh[..., None, :, :], diff[..., None, :, :]
-    return u, v @ ((vh @ _PAULI_PAIRS @ v) * diff) @ vh
-
-
 def _apply_pair_gate(joint: np.ndarray, gate: np.ndarray, k: int, n: int) -> np.ndarray:
     """Apply a 4x4 (ancilla, qubit k) gate to the joint vector."""
     hi, lo = 2 ** (n - k), 2 ** (k - 1)
@@ -264,12 +210,11 @@ def _apply_pair_gate(joint: np.ndarray, gate: np.ndarray, k: int, n: int) -> np.
     return np.einsum("aibj,bhjl->ahil", g, t).reshape(-1)
 
 
-def _step_gate(coupling, model=COUPLING_XXZ, aux_angles=None, jac=False):
+def _step_gate(coupling, aux_angles=None, jac=False):
     """Pair unitaries of the steps, ancilla first, built in one batch.
 
-    ``coupling`` has shape ``S + (2,)`` holding ``(h1, h2)`` for XXZ, or
-    ``S + (16,)`` holding the entries of a general coupling table, with
-    ``S`` the step axes (``()`` for one step); ``aux_angles``, when given,
+    ``coupling`` has shape ``S + (2,)`` holding ``(h1, h2)``, with ``S``
+    the step axes (``()`` for one step); ``aux_angles``, when given,
     has shape ``S + (6,)`` and holds the ancilla then the qubit ZYZ angles
     of the local rotations applied before the entangler.  The result ``U``
     has shape ``S + (4, 4)``; with ``jac`` it is ``(U, dU)``, ``dU[..., i,
@@ -277,11 +222,8 @@ def _step_gate(coupling, model=COUPLING_XXZ, aux_angles=None, jac=False):
     couplings, ancilla angles, qubit angles.
     """
     coupling = np.asarray(coupling, dtype=float)
-    if model == COUPLING_XXZ:
-        u = xxz_unitary(coupling[..., 0], coupling[..., 1])
-        du = -1j * _XXZ_TERMS @ u[..., None, :, :] if jac else None
-    else:
-        u, du = _general_entangler(coupling, jac)
+    u = xxz_unitary(coupling[..., 0], coupling[..., 1])
+    du = -1j * _XXZ_TERMS @ u[..., None, :, :] if jac else None
     if aux_angles is not None:
         # both legs' rotations in one batch: axis -3 is (ancilla, qubit)
         angles = np.reshape(aux_angles, np.shape(aux_angles)[:-1] + (2, 3))
@@ -303,22 +245,22 @@ def _step_gate(coupling, model=COUPLING_XXZ, aux_angles=None, jac=False):
     return (u, du) if jac else u
 
 
-def _trajectory(gates, n: int, phi_initial=(1.0, 0.0)):
-    """Yield ``phi_initial (x) |0...0>``, then the state after each step.
+def _trajectory(gates, n: int):
+    """Yield ``|0> (x) |0...0>``, then the state after each step.
 
     Step ``k`` applies ``gates[k - 1]`` to (ancilla, qubit ``k``).
     """
     joint = np.zeros(2 ** (n + 1), dtype=np.complex128)
-    joint[0], joint[2**n] = phi_initial
+    joint[0] = 1.0
     yield joint
     for k, gate in enumerate(gates, start=1):
         joint = _apply_pair_gate(joint, gate, k, n)
         yield joint
 
 
-def _evolve(gates, n: int, phi_initial=(1.0, 0.0)) -> np.ndarray:
+def _evolve(gates, n: int) -> np.ndarray:
     """State after all ``gates`` (see :func:`_trajectory`)."""
-    for joint in _trajectory(gates, n, phi_initial):
+    for joint in _trajectory(gates, n):
         pass
     return joint
 
@@ -326,23 +268,18 @@ def _evolve(gates, n: int, phi_initial=(1.0, 0.0)) -> np.ndarray:
 def sequential_generate(schedule: CouplingSchedule, n: int) -> np.ndarray:
     """Joint (ancilla, register) state after all interaction steps.
 
-    Starts from ``phi_initial (x) |0...0>``; step ``k`` entangles the ancilla
-    with qubit ``k`` (local aux rotations first, when enabled).  The extra
-    initial/final ancilla rotations bracket the whole sequence.
+    Starts from ``|0> (x) |0...0>``; step ``k`` entangles the ancilla with
+    qubit ``k`` (local aux rotations first, when enabled).
     """
     if len(schedule.steps) != n:
         raise ValueError(
             f"schedule has {len(schedule.steps)} steps but the register has {n} qubits"
         )
-    phi = schedule.phi_initial
     angles = None
     if schedule.aux_enabled:
         angles = np.hstack([schedule.aux_ancilla, schedule.aux_qubit])
     gates = _step_gate([(s.h1, s.h2) for s in schedule.steps], aux_angles=angles)
-    if schedule.aux_enabled:
-        phi = euler_zyz(*schedule.aux_ancilla_initial) @ phi
-        gates[-1] = np.kron(euler_zyz(*schedule.aux_ancilla_final), PAULI[0]) @ gates[-1]
-    return _evolve(gates, n, phi)
+    return _evolve(gates, n)
 
 
 def fidelity_vs_target(joint: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -374,24 +311,20 @@ class _CostEngine:
     """Cost ``2 (1 - F)`` of a flat parameter vector, and its exact gradient.
 
     The parameters are ``n`` rows of ``block_size``, one per step: the
-    couplings, then the ancilla and the qubit ZYZ angles when ``aux``.
+    couplings ``(h1, h2)``, then the ancilla and the qubit ZYZ angles when
+    ``aux``.
     """
 
-    def __init__(self, target, n, aux, model):
+    def __init__(self, target, n, aux):
         self.target = target
         self.n = n
         self.aux = aux
-        self.model = model
-        self.nstep = 2 if model == COUPLING_XXZ else 16
-        self.block_size = self.nstep + (6 if aux else 0)
+        self.block_size = 8 if aux else 2
 
     def unpack(self, params):
         """params -> (coupling rows, ancilla-angle rows, qubit-angle rows)."""
         per_step = params.reshape(self.n, self.block_size)
-        coup = per_step[:, : self.nstep]
-        aang = per_step[:, self.nstep: self.nstep + 3]
-        qang = per_step[:, self.nstep + 3:]
-        return coup, aang, qang
+        return per_step[:, :2], per_step[:, 2:5], per_step[:, 5:]
 
     def param_count(self):
         return self.n * self.block_size
@@ -399,8 +332,7 @@ class _CostEngine:
     def gates(self, params, jac=False):
         """All ``n`` step gates (with their derivatives when ``jac``)."""
         rows = params.reshape(self.n, self.block_size)
-        aux_angles = rows[:, self.nstep:] if self.aux else None
-        return _step_gate(rows[:, : self.nstep], self.model, aux_angles, jac)
+        return _step_gate(rows[:, :2], rows[:, 2:] if self.aux else None, jac)
 
     def generate(self, params):
         return _evolve(self.gates(params), self.n)
@@ -471,7 +403,6 @@ def optimize_schedule(
     aux: bool,
     restarts: int = 8,
     seed: int = 0,
-    coupling_model: str = COUPLING_XXZ,
     max_sweeps: int = _MAX_SWEEPS,
     sweep_tol: float = _SWEEP_TOL,
     inner_maxfev: int = _INNER_MAXFEV,
@@ -501,18 +432,15 @@ def optimize_schedule(
     ``aux`` conserves the excitation number, so it never leaves
     ``|0...0>``) and stopping says nothing about an optimum.
 
-    The closing ancilla rotation is cost-neutral here because the free final
-    ancilla state is already optimized in closed form, so it is left at
-    identity in the returned schedule.
+    The schedule has no closing ancilla rotation: it would be cost-neutral,
+    since the free final ancilla state is optimized in closed form.
     """
     target = np.asarray(target, dtype=np.complex128).reshape(-1)
     if target.size != 2**n:
         raise ValueError(f"target has {target.size} amplitudes, expected 2**{n}")
     nrm = np.linalg.norm(target)
-    if abs(nrm - 1.0) > 1e-10:
+    if not abs(nrm - 1.0) <= 1e-10:  # also rejects NaN and inf
         raise ValueError(f"target must be normalized, got norm {nrm!r}")
-    if coupling_model not in (COUPLING_XXZ, COUPLING_GENERAL):
-        raise ValueError(f"unknown coupling model {coupling_model!r}")
     if restarts < 1:
         raise ValueError("need at least one restart")
     if max_sweeps < 1 or inner_maxfev < 1:
@@ -522,7 +450,7 @@ def optimize_schedule(
     if not (math.isfinite(sweep_tol) and sweep_tol >= 0.0):
         raise ValueError(f"sweep_tol must be finite and >= 0, got {sweep_tol!r}")
 
-    engine = _CostEngine(target, n, aux, coupling_model)
+    engine = _CostEngine(target, n, aux)
     children = np.random.SeedSequence(seed).spawn(restarts)
     best = None
     for child in children:
@@ -531,7 +459,7 @@ def optimize_schedule(
         for row in rows:
             row[:] = rng.uniform(-np.pi, np.pi, size=engine.block_size)
             if aux:
-                row[engine.nstep:] = rng.uniform(0.0, 2.0 * np.pi, size=6)
+                row[2:] = rng.uniform(0.0, 2.0 * np.pi, size=6)
         params = rows.reshape(-1)
         params, history, converged = _descend(
             engine, params, max_sweeps, sweep_tol, inner_maxfev
@@ -543,17 +471,15 @@ def optimize_schedule(
     _, params, history, converged = best
     joint = engine.generate(params)
     f, phi_final = fidelity_vs_target(joint, target)
-    f = min(1.0, f)  # rounding can lift an exact preparation just above 1
+    f = min(f, 1.0)  # rounding can lift an exact preparation just above 1; NaN stays
 
-    schedule = None
-    if coupling_model == COUPLING_XXZ:
-        coup, aang, qang = engine.unpack(params)
-        schedule = CouplingSchedule(
-            steps=[StepCoupling(float(r[0]), float(r[1])) for r in coup],
-            aux_enabled=aux,
-            aux_qubit=qang if aux else None,
-            aux_ancilla=aang if aux else None,
-        )
+    coup, aang, qang = engine.unpack(params)
+    schedule = CouplingSchedule(
+        steps=[StepCoupling(float(r[0]), float(r[1])) for r in coup],
+        aux_enabled=aux,
+        aux_qubit=qang if aux else None,
+        aux_ancilla=aang if aux else None,
+    )
     return SynthesisResult(
         generated=joint,
         fidelity=f,

@@ -212,6 +212,28 @@ class TestSynthesize:
         assert code == 2
         assert "qubits" in err
 
+    def test_coupling_model_flag_is_gone(self, tmp_path, capsys):
+        # the unrestricted baseline is regularize --bond-caps 2 --methods variational
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "synthesize", "--qubits", "3", "--coupling-model", "general",
+                "-o", str(tmp_path / "x.csv"),
+            ])
+        assert exc.value.code == 2
+        assert "--coupling-model" in capsys.readouterr().err
+
+    def test_coupling_model_config_key_is_unknown(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("coupling-model=general\n")
+        out = tmp_path / "synth.csv"
+        code, err = run_cli([
+            "--config", str(cfg), "synthesize", "--qubits", "3", "--restarts", "1",
+            "--max-sweeps", "1", "-o", str(out), "--threads", "1",
+        ])
+        assert code == 0
+        assert "ignoring unknown key 'coupling_model'" in err
+        assert read_rows(out)[0]["method"] == "xxz"
+
 
 class TestDeterminism:
     def test_regularize_byte_identical(self, tmp_path):

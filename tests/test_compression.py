@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from seqclone import compression
-from seqclone.cloning import GMSpec, KET_PLUS, PureQubit, gm_state
+from seqclone.cloning import GMSpec, KET_PLUS, PureQubit, gm_mps, gm_state
 from seqclone.compression import (
     CompressionRequest,
     METHOD_SVD,
@@ -24,6 +24,13 @@ from seqclone.mps import MatrixProductState, from_statevector, overlap, to_state
 def random_state(rng, n):
     v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     return v / np.linalg.norm(v)
+
+
+def nan_chain():
+    """The n = 5 cloner chain with one site multiplied by NaN."""
+    chain = gm_mps(GMSpec(3))
+    chain.sites[2] = chain.sites[2] * np.nan
+    return chain
 
 
 def schmidt_weight_bound(v, n, cap):
@@ -69,6 +76,11 @@ class TestFidelity:
         with pytest.raises(ValueError, match="normalized"):
             fidelity(m, bad)
 
+    def test_rejects_non_finite(self):
+        # a NaN norm must fail the check; a clamp to 1 would hide it as F = 1
+        with pytest.raises(ValueError, match="normalized"):
+            fidelity(gm_mps(GMSpec(3)), nan_chain())
+
 
 class TestSvdTruncate:
     def test_cap_at_or_above_bond_is_identity(self):
@@ -106,6 +118,11 @@ class TestSvdTruncate:
         rng = np.random.default_rng(8)
         with pytest.raises(ValueError):
             svd_truncate_mps(from_statevector(random_state(rng, 3)), 0)
+
+    def test_rejects_non_finite_target(self):
+        # at a cap above the chain's bonds the target is returned with F = 1
+        with pytest.raises(CanonicalFormError):
+            svd_truncate_mps(nan_chain(), 3)
 
     def test_rejects_non_canonical_target(self):
         rng = np.random.default_rng(18)
@@ -231,6 +248,11 @@ class TestVariationalCompress:
             CompressionRequest(target=m, bond_cap=1, method="bogus")
         with pytest.raises(ValueError):
             variational_compress(CompressionRequest(target=m, bond_cap=1, method=METHOD_SVD))
+
+    def test_rejects_non_finite_target(self):
+        # a NaN norm must fail the check; a clamp to 1 would hide it as F = 1
+        with pytest.raises(ValueError, match="norm"):
+            compress(nan_chain(), 2, METHOD_VARIATIONAL)
 
     def test_accepts_dense_target(self):
         rng = np.random.default_rng(17)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqclone.cloning import GMSpec, KET_PLUS, gm_state
+from seqclone.compression import svd_truncate_mps
 from seqclone.errors import CanonicalFormError, StructureError
 from seqclone.mps import (
     MatrixProductState,
@@ -80,6 +81,12 @@ class TestFromStatevector:
         with pytest.raises(ValueError, match="normalized"):
             from_statevector(np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        v = np.array([bad, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="normalized"):
+            from_statevector(v)
+
     def test_rejects_bad_length(self):
         with pytest.raises(StructureError):
             from_statevector(np.ones(3) / np.sqrt(3))
@@ -144,17 +151,26 @@ class TestOverlap:
 
 
 @st.composite
-def chain_and_move(draw):
-    """A random chain with ragged bonds (1..5 inside, 1 at the edges) plus a
-    site ``k`` and a direction ``step`` that keeps ``k + step`` on the chain."""
-    n = draw(st.integers(2, 6))
+def ragged_sites(draw, n=None):
+    """Random complex sites of ``n`` qubits (2..6 when not given) with ragged
+    bonds: 1..5 inside, 1 at the edges."""
+    if n is None:
+        n = draw(st.integers(2, 6))
     bonds = [1] + draw(st.lists(st.integers(1, 5), min_size=n - 1, max_size=n - 1)) + [1]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    sites = [
+    return [
         rng.standard_normal((2, bonds[j], bonds[j + 1]))
         + 1j * rng.standard_normal((2, bonds[j], bonds[j + 1]))
         for j in range(n)
     ]
+
+
+@st.composite
+def chain_and_move(draw):
+    """A ragged chain plus a site ``k`` and a direction ``step`` that keeps
+    ``k + step`` on the chain."""
+    sites = draw(ragged_sites())
+    n = len(sites)
     step = draw(st.sampled_from([1, -1]))
     k = draw(st.integers(0, n - 2) if step > 0 else st.integers(1, n - 1))
     return sites, k, step
@@ -196,6 +212,42 @@ class TestShiftCentre:
             assert np.array_equal(original, copy)
         for j in (k, k + step):
             assert not np.shares_memory(moved[j], sites[j])
+
+
+@st.composite
+def canonical_chain(draw):
+    """A ragged chain of 3..8 qubits made left-orthonormal and normalized."""
+    sites = draw(ragged_sites(draw(st.integers(3, 8))))
+    for k in range(len(sites) - 1):
+        shift_centre(sites, k, +1)
+    sites[-1] = sites[-1] / np.linalg.norm(sites[-1])
+    return MatrixProductState(sites=sites, canonical=True)
+
+
+class TestProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(ragged_sites())
+    def test_json_roundtrip_is_bit_exact(self, sites):
+        m = MatrixProductState(sites=sites)
+        m2 = from_json(to_json(m))
+        assert m2.canonical == m.canonical
+        for a, b in zip(m.sites + [m.phi_initial, m.phi_final],
+                        m2.sites + [m2.phi_initial, m2.phi_final]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 6).flatmap(lambda n: st.tuples(ragged_sites(n), ragged_sites(n))))
+    def test_overlap_conjugate_symmetry(self, pair):
+        a, b = (MatrixProductState(sites=s) for s in pair)
+        scale = norm(a) * norm(b)
+        assert abs(overlap(a, b) - np.conj(overlap(b, a))) <= 1e-12 * scale
+
+    @settings(max_examples=200, deadline=None)
+    @given(canonical_chain())
+    def test_truncation_error_does_not_increase_with_cap(self, m):
+        errors = [svd_truncate_mps(m, cap)[1].error for cap in range(1, m.max_bond + 1)]
+        assert errors[-1] == 0.0
+        assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
 
 
 class TestExtractIsometries:
@@ -260,6 +312,12 @@ class TestJsonRoundtrip:
             assert np.array_equal(a, b)
         assert np.array_equal(m.phi_initial, m2.phi_initial)
         assert np.array_equal(m.phi_final, m2.phi_final)
+
+    def test_signed_zeros_survive(self):
+        # decoding as re + 1j * im would turn an imaginary -0.0 into +0.0
+        site = np.array([[[complex(1.0, -0.0)]], [[complex(-0.0, -0.0)]]])
+        m2 = from_json(to_json(MatrixProductState(sites=[site])))
+        assert m2.sites[0].tobytes() == site.tobytes()
 
     def test_rejects_unknown_schema(self):
         with pytest.raises(StructureError, match="schema"):
