@@ -9,6 +9,7 @@ from .cloning import (
     PureQubit,
     clone_fidelities,
     clone_fidelity_oracle,
+    gm_chain,
     gm_coefficients,
     gm_mps,
     gm_state,
@@ -48,7 +49,6 @@ from .sequential import (
     CouplingSchedule,
     StepCoupling,
     SynthesisResult,
-    fidelity_vs_target,
     optimize_schedule,
     sequential_generate,
     xxz_hamiltonian,

@@ -29,7 +29,7 @@ import sys
 import time
 
 from . import compression, mps as mps_mod, sequential
-from .cloning import GMSpec, PureQubit, clone_fidelities, gm_coefficients, gm_mps, gm_state
+from .cloning import GMSpec, PureQubit, clone_fidelities, gm_chain, gm_coefficients, gm_mps
 from .errors import ResourceLimitError
 
 EXIT_OK = 0
@@ -181,7 +181,7 @@ def _synthesize_point(task):
     n, aux, restarts, qubit_re_im, max_sweeps, seed = task
     clones = (n + 1) // 2
     spec = GMSpec(clones, PureQubit(*qubit_re_im))
-    target = gm_state(spec)
+    target = gm_chain(spec)
     start = time.perf_counter()
     result = sequential.optimize_schedule(
         target, n, aux=aux, restarts=restarts, seed=seed, max_sweeps=max_sweeps

@@ -15,8 +15,8 @@ In this blocked order the bond index of the state's matrix-product chain
 only counts 1s (Delgado et al., PRL 98, 150502 (2007)): clone sites carry
 the 1s emitted so far, a weight matrix at the clone/anticlone cut picks
 ``j`` and the input amplitude, and anticlone sites count down the 1s still
-owed.  :func:`gm_mps` is that chain in canonical form and :func:`gm_state`
-its dense expansion.
+owed.  :func:`gm_chain` is that chain, :func:`gm_mps` its canonical form
+and :func:`gm_state` its dense expansion.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def _counter_site(k: int) -> np.ndarray:
     return t
 
 
-def _counter_chain(spec: GMSpec) -> list[np.ndarray]:
+def gm_chain(spec: GMSpec) -> mps_mod.MatrixProductState:
     """Cloner output as a chain whose bonds count 1s (not canonical).
 
     The cut matrix maps ``j`` clone 1s to ``M - 1 - j`` anticlone 1s owed
@@ -106,7 +106,8 @@ def _counter_chain(spec: GMSpec) -> list[np.ndarray]:
         cut[m - j, j] = spec.input.beta * w
     sites = [_counter_site(k) for k in range(m)]
     sites[-1] = np.einsum("icd,dr->icr", sites[-1], cut)
-    return sites + [_counter_site(k).transpose(0, 2, 1) for k in range(m - 2, -1, -1)]
+    sites += [_counter_site(k).transpose(0, 2, 1) for k in range(m - 2, -1, -1)]
+    return mps_mod.MatrixProductState(sites=sites)
 
 
 def gm_mps(spec: GMSpec) -> mps_mod.MatrixProductState:
@@ -115,7 +116,7 @@ def gm_mps(spec: GMSpec) -> mps_mod.MatrixProductState:
     After a right QR sweep every cut of the left SVD sweep is a Schmidt
     decomposition, so the bonds are those of ``from_statevector(gm_state(spec), RANK_RTOL)``.
     """
-    sites = _counter_chain(spec)
+    sites = gm_chain(spec).sites
     for k in range(len(sites) - 1, 0, -1):
         mps_mod.shift_centre(sites, k, -1)
     for k in range(len(sites) - 1):
@@ -130,7 +131,7 @@ def gm_state(spec: GMSpec) -> np.ndarray:
     Expanded from the counter chain before canonicalization, so amplitudes
     that vanish are exactly zero.  For ``M = 1`` it is the input qubit.
     """
-    return mps_mod.to_statevector(mps_mod.MatrixProductState(sites=_counter_chain(spec)))
+    return mps_mod.to_statevector(gm_chain(spec))
 
 
 def clone_fidelities(chain: mps_mod.MatrixProductState, qubit: PureQubit) -> list[float]:

@@ -20,17 +20,19 @@ the bond-2 chains (Schoen et al., PRL 95, 110503 (2005)), so its optimum is
 the cap-2 compression of :mod:`seqclone.compression`, the baseline the
 restricted entangler is measured against.
 
-Couplings are optimized by one L-BFGS-B run on all parameters per random
-restart, on the exact gradient: one forward pass keeps the states between
-steps and one backward pass pulls the target bra through them, so a
-cost-and-gradient evaluation costs O(n) pair-gate applications.  The step
-gates and their derivatives are built for all steps in one batch from the
-closed-form derivatives of the XXZ entangler and the ZYZ rotations.
+The preparation and the target are both chains; no dense vector is built.
+Step ``k`` emits qubit ``k`` through the bond-2 site
+``A_k^i[a_out, a_in] = U_k[(a_out, i), (a_in, 0)]``.  Couplings are
+optimized by one L-BFGS-B run on all parameters per random restart, on the
+exact gradient from two transfer passes, so a cost-and-gradient evaluation
+costs ``O(n D^2)`` for a target of bond ``D`` (see :class:`_CostEngine`).
+The step gates and their derivatives are built for all steps in one batch.
 
-Layout conventions: joint vectors are indexed ancilla-first
-(``index = a * 2**n + q``), the register index ``q`` reads ``i_n ... i_1``
-with ``i_1`` least significant, and step ``k`` touches qubit ``k`` (bit
-``k - 1``).  Evolution time is absorbed into the couplings.
+Layout conventions follow :mod:`seqclone.mps`: the register reads
+``i_n ... i_1``, most significant first, and step ``k`` emits qubit ``k``,
+so the sites come last step first.  The joint chain puts the ancilla's site
+in front, so its dense expansion is indexed ancilla-first.  Evolution time
+is absorbed into the couplings.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import StructureError, check_fidelity
+from .errors import check_fidelity
+from .mps import MatrixProductState, from_statevector, norm as mps_norm
 
 PAULI = (
     np.eye(2, dtype=np.complex128),
@@ -55,6 +58,9 @@ COUPLING_XXZ = "xxz"
 _SWEEP_TOL = 1e-10
 _MAX_SWEEPS = 200
 _INNER_MAXFEV = 500
+
+# the ancilla starts in |0>
+_ANCILLA_START = np.array([1.0, 0.0], dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -109,7 +115,7 @@ class CouplingSchedule:
 class SynthesisResult:
     """Best schedule found by :func:`optimize_schedule`."""
 
-    generated: np.ndarray
+    generated: MatrixProductState
     fidelity: float
     cost: float
     optimal_phi_final: np.ndarray
@@ -202,14 +208,6 @@ def _kron_pair(a, b) -> np.ndarray:
     return k.reshape(k.shape[:-4] + (4, 4))
 
 
-def _apply_pair_gate(joint: np.ndarray, gate: np.ndarray, k: int, n: int) -> np.ndarray:
-    """Apply a 4x4 (ancilla, qubit k) gate to the joint vector."""
-    hi, lo = 2 ** (n - k), 2 ** (k - 1)
-    t = joint.reshape(2, hi, 2, lo)
-    g = gate.reshape(2, 2, 2, 2)
-    return np.einsum("aibj,bhjl->ahil", g, t).reshape(-1)
-
-
 def _step_gate(coupling, aux_angles=None, jac=False):
     """Pair unitaries of the steps, ancilla first, built in one batch.
 
@@ -245,31 +243,30 @@ def _step_gate(coupling, aux_angles=None, jac=False):
     return (u, du) if jac else u
 
 
-def _trajectory(gates, n: int):
-    """Yield ``|0> (x) |0...0>``, then the state after each step.
+def _chain_sites(gates) -> np.ndarray:
+    """Bond-2 sites of step gates ``(n, 4, 4)``, last step first.
 
-    Step ``k`` applies ``gates[k - 1]`` to (ancilla, qubit ``k``).
+    ``A^i[a_out, a_in] = U[(a_out, i), (a_in, 0)]``: step ``k`` emits qubit
+    ``k`` onto a blank register, so only the columns ``|a_in, 0>`` count.
+    The result has shape ``(n, 2, 2, 2)``, indexed ``(i, a_out, a_in)``.
     """
-    joint = np.zeros(2 ** (n + 1), dtype=np.complex128)
-    joint[0] = 1.0
-    yield joint
-    for k, gate in enumerate(gates, start=1):
-        joint = _apply_pair_gate(joint, gate, k, n)
-        yield joint
+    n = len(gates)
+    return gates[::-1, :, 0::2].reshape(n, 2, 2, 2).transpose(0, 2, 1, 3)
 
 
-def _evolve(gates, n: int) -> np.ndarray:
-    """State after all ``gates`` (see :func:`_trajectory`)."""
-    for joint in _trajectory(gates, n):
-        pass
-    return joint
+def _joint_chain(sites) -> MatrixProductState:
+    """Joint (ancilla, register) chain: the ancilla's site first, started in ``|0>``."""
+    ancilla = np.eye(2, dtype=np.complex128).reshape(2, 1, 2)
+    return MatrixProductState(sites=[ancilla, *sites], phi_initial=_ANCILLA_START)
 
 
-def sequential_generate(schedule: CouplingSchedule, n: int) -> np.ndarray:
-    """Joint (ancilla, register) state after all interaction steps.
+def sequential_generate(schedule: CouplingSchedule, n: int) -> MatrixProductState:
+    """Joint (ancilla, register) state after all interaction steps, as a chain.
 
     Starts from ``|0> (x) |0...0>``; step ``k`` entangles the ancilla with
-    qubit ``k`` (local aux rotations first, when enabled).
+    qubit ``k`` (local aux rotations first, when enabled).  The chain has
+    ``n + 1`` sites of bond 2, the ancilla's first, so ``to_statevector``
+    gives the ancilla-first joint vector.
     """
     if len(schedule.steps) != n:
         raise ValueError(
@@ -279,29 +276,7 @@ def sequential_generate(schedule: CouplingSchedule, n: int) -> np.ndarray:
     if schedule.aux_enabled:
         angles = np.hstack([schedule.aux_ancilla, schedule.aux_qubit])
     gates = _step_gate([(s.h1, s.h2) for s in schedule.steps], aux_angles=angles)
-    return _evolve(gates, n)
-
-
-def fidelity_vs_target(joint: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Best overlap of a joint state with ``phi (x) target`` over unit ``phi``.
-
-    Contracting the register indices of the joint state against the target
-    leaves an ancilla vector ``w``; the optimum is ``F = ||w||`` attained at
-    ``phi = w / ||w||`` (returned as a zero vector when ``F = 0``).
-    """
-    joint = np.asarray(joint, dtype=np.complex128).reshape(-1)
-    target = np.asarray(target, dtype=np.complex128).reshape(-1)
-    if joint.size % target.size:
-        raise StructureError(
-            f"joint dimension {joint.size} is not a multiple of target dimension {target.size}"
-        )
-    dim = joint.size // target.size
-    if dim < 1 or joint.size != dim * target.size:
-        raise StructureError("joint state lacks an ancilla factor")
-    w = joint.reshape(dim, target.size) @ target.conj()
-    f = float(np.linalg.norm(w))
-    phi = w / f if f > 0 else w
-    return f, phi
+    return _joint_chain(_chain_sites(gates))
 
 
 # --- optimization -------------------------------------------------------------
@@ -310,16 +285,19 @@ def fidelity_vs_target(joint: np.ndarray, target: np.ndarray) -> tuple[float, np
 class _CostEngine:
     """Cost ``2 (1 - F)`` of a flat parameter vector, and its exact gradient.
 
-    The parameters are ``n`` rows of ``block_size``, one per step: the
-    couplings ``(h1, h2)``, then the ancilla and the qubit ZYZ angles when
-    ``aux``.
+    ``target`` is the register state as a chain.  The parameters are ``n``
+    rows of ``block_size``, one per step: the couplings ``(h1, h2)``, then
+    the ancilla and the qubit ZYZ angles when ``aux``.
     """
 
-    def __init__(self, target, n, aux):
+    def __init__(self, target: MatrixProductState, aux):
         self.target = target
-        self.n = n
+        self.n = target.n_qubits
         self.aux = aux
         self.block_size = 8 if aux else 2
+        self._conj = [t.conj() for t in target.sites]
+        # conj(T^i) stacked for the right pass: rows (i, right bond), columns left bond
+        self._right = [t.transpose(0, 2, 1).reshape(-1, t.shape[1]) for t in self._conj]
 
     def unpack(self, params):
         """params -> (coupling rows, ancilla-angle rows, qubit-angle rows)."""
@@ -334,49 +312,62 @@ class _CostEngine:
         rows = params.reshape(self.n, self.block_size)
         return _step_gate(rows[:, :2], rows[:, 2:] if self.aux else None, jac)
 
-    def generate(self, params):
-        return _evolve(self.gates(params), self.n)
+    def generate(self, params) -> MatrixProductState:
+        return _joint_chain(_chain_sites(self.gates(params)))
+
+    def right_pass(self, sites):
+        """Right environments of the generated ``sites`` and the ancilla vector ``w``.
+
+        ``w_a = sum_q joint[a, q] conj(target[q])``.  Contracting from the
+        right, ``R = |0> phi_initial^H`` becomes ``sum_i A^i R T^i{dagger}``
+        site by site, and ``w = R phi_final``; ``envs[j]`` is ``R`` right of
+        site ``j``.
+        """
+        env = np.outer(_ANCILLA_START, self.target.phi_initial.conj())
+        envs = [None] * self.n
+        for j in range(self.n - 1, -1, -1):
+            envs[j] = env
+            env = (sites[j] @ env).transpose(1, 0, 2).reshape(2, -1) @ self._right[j]
+        return envs, env @ self.target.phi_final
 
     def cost(self, params):
-        f, _ = fidelity_vs_target(self.generate(params), self.target)
-        return 2.0 * (1.0 - f)
+        _, w = self.right_pass(_chain_sites(self.gates(params)))
+        return 2.0 * (1.0 - float(np.linalg.norm(w)))
 
     def cost_and_grad(self, params):
-        """Cost and gradient over all parameters in O(n) pair-gate applications.
+        """Cost and gradient over all parameters in two passes along the chain.
 
-        With ``w^H dw = <chi_k, dU_k psi_{k-1}>`` for the bra
-        ``chi_k = (U_n ... U_{k+1})^dagger (w (x) target)``, one forward pass
-        keeps the states ``psi_0 .. psi_{n-1}`` and one backward pass pulls
-        ``chi`` through the steps, contracting it with each kept state into
-        the 16 weights ``pull_k`` with ``w^H dw = <pull_k, dU_k>``.  Then
-        ``dF = Re(w^H dw) / F``; at ``F = 0``, where ``||w||`` has no
-        derivative, the gradient is taken as zero.
+        The right pass gives ``w`` and the environments ``R_j``.  A left pass
+        seeded with ``E = conj(w) phi_final^T`` carries
+        ``E -> sum_i A^i{T} E conj(T^i)`` and meets each ``R_j`` in the
+        weights ``pull_j^i = E conj(T^i) R_j^T``, so ``w^H dw = <pull_j, dA_j>``
+        with ``dA_j`` the columns ``|a_in, 0>`` of ``dU``.  Then
+        ``dF = Re(w^H dw) / F``, taken as zero at ``F = 0``.
         """
         n = self.n
         u, du = self.gates(params, jac=True)
-        states = list(_trajectory(u, n))
-        w = states.pop().reshape(2, 2**n) @ self.target.conj()
+        sites = _chain_sites(u)
+        envs, w = self.right_pass(sites)
         f = float(np.linalg.norm(w))
         if f == 0.0:
             return 2.0, np.zeros(self.param_count())
-        pulls = np.empty((n, 16), dtype=np.complex128)
-        bra = np.outer(w, self.target).reshape(-1)
-        for k in range(n, 0, -1):
-            hi, lo = 2 ** (n - k), 2 ** (k - 1)
-            pulls[k - 1] = np.einsum(
-                "bhjl,ahil->bjai",
-                bra.conj().reshape(2, hi, 2, lo),
-                states[k - 1].reshape(2, hi, 2, lo),
-            ).reshape(16)
-            bra = _apply_pair_gate(bra, u[k - 1].conj().T, k, n)
-        grad = (du.reshape(n, self.block_size, 16) @ pulls[:, :, None]).real
+        pulls = np.empty((n, 2, 2, 2), dtype=np.complex128)
+        env = np.outer(w.conj(), self.target.phi_final)
+        for j in range(n):
+            z = env @ self._conj[j]
+            pulls[j] = z @ envs[j].T
+            env = sites[j].reshape(4, 2).T @ z.reshape(4, -1)
+        # site j is step n - j; order the weights like dU's rows (a_out, i) and column a_in
+        weights = pulls[::-1].transpose(0, 2, 1, 3).reshape(n, 8, 1)
+        grad = (du[..., 0::2].reshape(n, self.block_size, 8) @ weights).real
         return 2.0 * (1.0 - f), (-2.0 / f) * grad.reshape(-1)
 
 
 def _descend(engine: _CostEngine, params, max_sweeps, sweep_tol, inner_maxfev):
     """One L-BFGS-B run on all parameters; returns (params, history, converged).
 
-    The budget ``2 n max_sweeps inner_maxfev`` of cost-and-gradient
+    ``converged`` is False when the run spent its budget or never left its
+    start.  The budget ``2 n max_sweeps inner_maxfev`` of cost-and-gradient
     evaluations binds as both ``maxfun`` and ``maxiter``; ``history`` holds
     the starting cost and the cost after each iteration.
     """
@@ -394,11 +385,11 @@ def _descend(engine: _CostEngine, params, max_sweeps, sweep_tol, inner_maxfev):
         callback=record,
         options={"maxfun": budget, "maxiter": budget, "ftol": sweep_tol, "gtol": 1e-12},
     )
-    return res.x, history, res.status != 1
+    return res.x, history, res.status != 1 and res.nit > 0
 
 
 def optimize_schedule(
-    target: np.ndarray,
+    target: MatrixProductState | np.ndarray,
     n: int,
     aux: bool,
     restarts: int = 8,
@@ -408,6 +399,9 @@ def optimize_schedule(
     inner_maxfev: int = _INNER_MAXFEV,
 ) -> SynthesisResult:
     """Gradient search for couplings preparing ``target``.
+
+    ``target`` is the ``n``-qubit register state as a chain; a dense vector
+    is decomposed once by :func:`~seqclone.mps.from_statevector`.
 
     Each restart runs L-BFGS-B once on all parameters (every step's
     couplings, plus its ancilla and qubit rotation angles when ``aux``) on
@@ -427,18 +421,19 @@ def optimize_schedule(
     ``cost_history`` holds the starting cost and the cost after each
     iteration, and ``iterations`` counts the iterations.
 
-    ``converged`` is False when the run stopped on its budget, and also
-    when the best fidelity is 0: there the cost is flat (XXZ without
-    ``aux`` conserves the excitation number, so it never leaves
-    ``|0...0>``) and stopping says nothing about an optimum.
+    ``converged`` is False when the run stopped on its budget or never left
+    its start: a flat cost (XXZ without ``aux`` conserves the excitation
+    number, so it never leaves ``|0...0>``) says nothing about an optimum.
+    ``generated`` is the joint chain of :func:`sequential_generate`.
 
     The schedule has no closing ancilla rotation: it would be cost-neutral,
     since the free final ancilla state is optimized in closed form.
     """
-    target = np.asarray(target, dtype=np.complex128).reshape(-1)
-    if target.size != 2**n:
-        raise ValueError(f"target has {target.size} amplitudes, expected 2**{n}")
-    nrm = np.linalg.norm(target)
+    if not isinstance(target, MatrixProductState):
+        target = from_statevector(target)
+    if target.n_qubits != n:
+        raise ValueError(f"target has {target.n_qubits} qubits, expected {n}")
+    nrm = mps_norm(target)
     if not abs(nrm - 1.0) <= 1e-10:  # also rejects NaN and inf
         raise ValueError(f"target must be normalized, got norm {nrm!r}")
     if restarts < 1:
@@ -450,7 +445,7 @@ def optimize_schedule(
     if not (math.isfinite(sweep_tol) and sweep_tol >= 0.0):
         raise ValueError(f"sweep_tol must be finite and >= 0, got {sweep_tol!r}")
 
-    engine = _CostEngine(target, n, aux)
+    engine = _CostEngine(target, aux)
     children = np.random.SeedSequence(seed).spawn(restarts)
     best = None
     for child in children:
@@ -470,7 +465,9 @@ def optimize_schedule(
 
     _, params, history, converged = best
     joint = engine.generate(params)
-    f, phi_final = fidelity_vs_target(joint, target)
+    _, w = engine.right_pass(joint.sites[1:])
+    f = float(np.linalg.norm(w))
+    phi_final = w / f if f > 0 else w
     f = min(f, 1.0)  # rounding can lift an exact preparation just above 1; NaN stays
 
     coup, aang, qang = engine.unpack(params)
@@ -487,7 +484,7 @@ def optimize_schedule(
         optimal_phi_final=phi_final,
         iterations=len(history) - 1,
         restarts_used=restarts,
-        converged=converged and f > 0.0,
+        converged=converged,
         schedule=schedule,
         cost_history=history,
     )

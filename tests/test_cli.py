@@ -327,15 +327,21 @@ class TestInputQubitParsing:
 
 
 class TestNoDenseTargets:
-    """regularize and gm-info work from the cloner chain, never the dense state."""
+    """regularize, gm-info and synthesize work from the cloner chain, never
+    a dense state."""
 
     @pytest.fixture(autouse=True)
     def forbid_dense_state(self, monkeypatch):
-        def refuse(spec):
-            raise AssertionError("dense cloner state built")
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense state built")
 
-        monkeypatch.setattr("seqclone.cloning.gm_state", refuse)
-        monkeypatch.setattr("seqclone.cli.gm_state", refuse)
+        for name in (
+            "seqclone.cloning.gm_state",
+            "seqclone.mps.to_statevector",
+            "seqclone.mps.from_statevector",
+            "seqclone.sequential.from_statevector",
+        ):
+            monkeypatch.setattr(name, refuse)
 
     def test_regularize(self, tmp_path):
         code, _ = run_cli([
@@ -349,6 +355,13 @@ class TestNoDenseTargets:
         code, _ = run_cli([
             "gm-info", "--clones", "4", "-o", str(tmp_path / "info.csv"),
             "--mps-out", str(tmp_path / "chain.json"),
+        ])
+        assert code == 0
+
+    def test_synthesize(self, tmp_path):
+        code, _ = run_cli([
+            "synthesize", "--qubits", "3,5", "--restarts", "1", "--max-sweeps", "1",
+            "-o", str(tmp_path / "synth.csv"), "--threads", "1",
         ])
         assert code == 0
 

@@ -1,28 +1,32 @@
 """Tests for restricted-interaction sequential synthesis."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqclone import sequential
-from seqclone.cloning import GMSpec, KET_PLUS, gm_mps, gm_state
+from seqclone.cloning import GMSpec, KET_PLUS, gm_chain, gm_mps, gm_state
 from seqclone.compression import METHOD_VARIATIONAL_SEEDED, compress
-from seqclone.errors import StructureError
 from seqclone.linalg import hermitian_expm
+from seqclone.mps import MatrixProductState, from_statevector, norm, to_statevector
 from seqclone.sequential import (
     CouplingSchedule,
     PAULI,
     StepCoupling,
     SynthesisResult,
     euler_zyz,
-    fidelity_vs_target,
     optimize_schedule,
     sequential_generate,
     xxz_hamiltonian,
     xxz_unitary,
     _CostEngine,
     _XXZ_TERMS,
+    _chain_sites,
     _step_gate,
 )
+from test_mps import ragged_sites
 
 
 def random_state(rng, n):
@@ -68,14 +72,14 @@ class TestEuler:
 class TestSequentialGenerate:
     def test_all_zero_couplings_fix_initial_state(self):
         sch = CouplingSchedule(steps=[StepCoupling(0, 0)] * 4)
-        out = sequential_generate(sch, 4)
+        out = to_statevector(sequential_generate(sch, 4))
         expected = np.zeros(32)
         expected[0] = 1.0
         assert np.allclose(out, expected)
 
     def test_single_step_matches_dense_exponential(self):
         sch = CouplingSchedule(steps=[StepCoupling(0.8, 0.8)])
-        out = sequential_generate(sch, 1)
+        out = to_statevector(sequential_generate(sch, 1))
         u = hermitian_expm(xxz_hamiltonian(0.8, 0.8), 1.0)
         assert np.max(np.abs(out - u @ np.array([1, 0, 0, 0]))) < 1e-12
 
@@ -88,7 +92,7 @@ class TestSequentialGenerate:
             aux_qubit=rng.uniform(0, 2 * np.pi, (3, 3)),
             aux_ancilla=rng.uniform(0, 2 * np.pi, (3, 3)),
         )
-        assert abs(np.linalg.norm(sequential_generate(sch, 3)) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(to_statevector(sequential_generate(sch, 3))) - 1.0) < 1e-12
 
     def test_step_count_mismatch(self):
         sch = CouplingSchedule(steps=[StepCoupling(0, 0)])
@@ -110,47 +114,59 @@ class TestSequentialGenerate:
             CouplingSchedule(steps=[StepCoupling(0.3, 0.1)], aux_enabled=True, **{field: angles})
 
 
-class TestFidelityVsTarget:
-    def test_product_joint(self):
-        rng = np.random.default_rng(5)
-        target = random_state(rng, 3)
-        phi = np.array([0.6, 0.8j])
-        f, phi_opt = fidelity_vs_target(np.kron(phi, target), target)
-        assert abs(f - 1.0) < 1e-12
-        assert np.max(np.abs(phi_opt - phi)) < 1e-12
+@st.composite
+def target_chains(draw):
+    """A normalized chain of 1..7 qubits with random ragged boundary vectors."""
+    n = draw(st.integers(1, 7))
+    sites = draw(ragged_sites(n + 2))
+    # the two outer sites only lend their random entries to the boundaries
+    chain = MatrixProductState(
+        sites=sites[1:-1], phi_initial=sites[-1][0, :, 0], phi_final=sites[0][1, 0, :]
+    )
+    chain.phi_final = chain.phi_final / norm(chain)
+    return chain
 
-    def test_orthogonal_joint(self):
-        target = np.array([1, 0, 0, 0], dtype=complex)
-        orth = np.array([0, 1, 0, 0], dtype=complex)
-        f, _ = fidelity_vs_target(np.kron(np.array([1, 0]), orth), target)
-        assert f < 1e-14
 
-    def test_beats_sampled_ancilla_vectors(self):
+class TestChainOverlap:
+    """The ancilla vector ``w`` contracted on the chain against dense oracles."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(target_chains(), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_cost_matches_dense_contraction(self, target, aux, seed):
+        engine = _CostEngine(target, aux)
+        params = np.random.default_rng(seed).uniform(-np.pi, np.pi, engine.param_count())
+        joint = to_statevector(engine.generate(params)).reshape(2, -1)
+        w = joint @ to_statevector(target).conj()
+        assert abs(engine.cost(params) - 2.0 * (1.0 - np.linalg.norm(w))) <= 1e-13
+        assert abs(engine.cost_and_grad(params)[0] - engine.cost(params)) <= 1e-13
+
+    def test_optimal_phi_final_beats_sampled_ancilla_vectors(self):
         rng = np.random.default_rng(6)
         target = random_state(rng, 3)
-        joint = random_state(rng, 4)
-        f, phi_opt = fidelity_vs_target(joint, target)
+        res = optimize_schedule(
+            from_statevector(target), 3, aux=True, restarts=1, seed=6, max_sweeps=1,
+            inner_maxfev=5,
+        )
+        joint = to_statevector(res.generated).reshape(2, -1)
         samples = rng.standard_normal((10_000, 2)) + 1j * rng.standard_normal((10_000, 2))
         samples /= np.linalg.norm(samples, axis=1, keepdims=True)
-        probe = np.abs(samples.conj() @ joint.reshape(2, -1) @ target.conj())
-        assert np.all(probe <= f + 1e-12)
-        got = abs(np.vdot(np.kron(phi_opt, target), joint))
-        assert abs(got - f) < 1e-12
+        probe = np.abs(samples.conj() @ joint @ target.conj())
+        assert np.all(probe <= res.fidelity + 1e-12)
+        got = abs(res.optimal_phi_final.conj() @ joint @ target.conj())
+        assert abs(got - res.fidelity) < 1e-12
 
-    def test_invariant_under_ancilla_unitaries(self):
+    def test_invariant_under_final_ancilla_rotation(self):
         rng = np.random.default_rng(7)
-        target = random_state(rng, 3)
-        joint = random_state(rng, 4)
-        f0, _ = fidelity_vs_target(joint, target)
+        engine = _CostEngine(from_statevector(random_state(rng, 3)), True)
+        sites = _chain_sites(engine.gates(rng.uniform(-np.pi, np.pi, engine.param_count())))
+        _, w0 = engine.right_pass(sites)
         for _ in range(5):
             u = euler_zyz(*rng.uniform(0, 2 * np.pi, 3))
-            rotated = (u @ joint.reshape(2, -1)).reshape(-1)
-            f1, _ = fidelity_vs_target(rotated, target)
-            assert abs(f1 - f0) < 1e-12
-
-    def test_rejects_bad_dimensions(self):
-        with pytest.raises(StructureError):
-            fidelity_vs_target(np.ones(6), np.ones(4))
+            rotated = sites.copy()
+            rotated[0] = u @ sites[0]  # the last step's ancilla output
+            _, w1 = engine.right_pass(rotated)
+            assert np.max(np.abs(w1 - u @ w0)) < 1e-12
+            assert abs(np.linalg.norm(w1) - np.linalg.norm(w0)) < 1e-12
 
 
 def central_difference(fn, x, h=1e-6):
@@ -170,7 +186,7 @@ class TestGradient:
     @staticmethod
     def engine_and_params(aux, n):
         rng = np.random.default_rng(n + 10 * aux)
-        engine = _CostEngine(random_state(rng, n), n, aux)
+        engine = _CostEngine(from_statevector(random_state(rng, n)), aux)
         return engine, rng.uniform(-np.pi, np.pi, engine.param_count())
 
     @pytest.mark.parametrize("n", [3, 5])
@@ -220,7 +236,7 @@ class TestGradient:
 
     def test_zero_overlap_gives_zero_gradient(self):
         # XXZ without aux keeps |0...0>, which the |+> cloner state misses
-        engine = _CostEngine(gm_state(GMSpec(2, KET_PLUS)), 3, False)
+        engine = _CostEngine(gm_chain(GMSpec(2, KET_PLUS)), False)
         params = np.random.default_rng(9).uniform(-np.pi, np.pi, engine.param_count())
         cost, grad = engine.cost_and_grad(params)
         assert cost == 2.0
@@ -236,8 +252,8 @@ class TestOptimizeSchedule:
         assert 1.0 - res.fidelity <= 1e-6
         assert abs(res.cost - 2 * (1 - res.fidelity)) <= 1e-12
         # the reported schedule regenerates the reported state
-        regen = sequential_generate(res.schedule, 3)
-        assert np.max(np.abs(regen - res.generated)) < 1e-12
+        regen = to_statevector(sequential_generate(res.schedule, 3))
+        assert np.max(np.abs(regen - to_statevector(res.generated))) < 1e-12
 
     def test_exact_preparation_reports_fidelity_at_most_one(self):
         # this restart reaches the target to rounding; unclamped, F - 1 = 2.2e-16
@@ -274,10 +290,36 @@ class TestOptimizeSchedule:
 
     def test_degenerate_aux_off_run_is_not_converged(self):
         # the flat cost stalls at once; that is no evidence of an optimum
-        target = gm_state(GMSpec(2, KET_PLUS))
-        res = optimize_schedule(target, 3, aux=False, seed=0)
+        res = optimize_schedule(gm_chain(GMSpec(2, KET_PLUS)), 3, aux=False, seed=0)
         assert 1.0 - res.fidelity == 1.0
         assert res.converged is False
+
+    def test_degenerate_run_on_decomposed_target_is_not_converged(self):
+        # the SVD of the dense target leaves ~1e-16 where the chain has exact
+        # zeros, so F is not exactly 0; the run still never leaves its start
+        res = optimize_schedule(gm_state(GMSpec(2)), 3, aux=False, seed=0)
+        assert res.fidelity <= 1e-15
+        assert res.iterations == 0
+        assert res.converged is False
+
+    def test_synthesis_builds_no_dense_state(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense state built")
+
+        for name in (
+            "seqclone.mps.to_statevector",
+            "seqclone.cloning.gm_state",
+            "seqclone.sequential.from_statevector",
+        ):
+            monkeypatch.setattr(name, refuse)
+        m = 11
+        res = optimize_schedule(
+            gm_chain(GMSpec(m)), 2 * m - 1, aux=True, restarts=1, seed=1,
+            max_sweeps=1, inner_maxfev=3,
+        )
+        assert res.generated.n_qubits == 2 * m and res.generated.max_bond == 2
+        floor = 1.0 - math.sqrt(2 * (2 * m - 1) / (m * (m + 1)))
+        assert 1.0 - res.fidelity >= floor - 1e-10
 
     def test_deterministic_for_fixed_seed(self):
         target = gm_state(GMSpec(2, KET_PLUS))
