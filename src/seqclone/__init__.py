@@ -15,7 +15,6 @@ from .cloning import (
     gm_state,
 )
 from .compression import (
-    CompressionRequest,
     FidelityReport,
     METHOD_SVD,
     METHOD_VARIATIONAL,

@@ -29,7 +29,9 @@ import sys
 import time
 
 from . import compression, mps as mps_mod, sequential
-from .cloning import GMSpec, PureQubit, clone_fidelities, gm_chain, gm_coefficients, gm_mps
+from .cloning import (
+    MAX_CLONES, GMSpec, PureQubit, clone_fidelities, gm_chain, gm_coefficients, gm_mps,
+)
 from .errors import ResourceLimitError
 
 EXIT_OK = 0
@@ -37,7 +39,6 @@ EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 
 RESULT_SCHEMA = "seqclone.results/1"
-DEFAULT_MAX_QUBITS = compression.MAX_SCAN_QUBITS
 
 _METHOD_ALIASES = {
     "svd": compression.METHOD_SVD,
@@ -119,36 +120,6 @@ def _parse_methods(text: str) -> list[str]:
     return methods
 
 
-def _qubit_cap() -> int:
-    raw = os.environ.get("SEQCLONE_MAX_QUBITS")
-    if raw is None:
-        return DEFAULT_MAX_QUBITS
-    try:
-        cap = int(raw)
-    except ValueError:
-        print(
-            f"warning: ignoring non-integer SEQCLONE_MAX_QUBITS={raw!r}",
-            file=sys.stderr,
-        )
-        return DEFAULT_MAX_QUBITS
-    if cap > DEFAULT_MAX_QUBITS:
-        print(
-            f"warning: SEQCLONE_MAX_QUBITS={cap} raises the register cap above "
-            f"{DEFAULT_MAX_QUBITS}; this is unsupported territory",
-            file=sys.stderr,
-        )
-    return cap
-
-
-def _check_register(n: int) -> None:
-    cap = _qubit_cap()
-    if n > cap:
-        raise ResourceLimitError(
-            f"register of {n} qubits exceeds the register cap ({cap}); "
-            "set SEQCLONE_MAX_QUBITS to override"
-        )
-
-
 # --- scan-point workers (module level so a process pool can pickle them) ----
 
 
@@ -226,11 +197,7 @@ def _render_rows(rows, columns, fmt, experiment, timing):
     doc = {
         "schema": RESULT_SCHEMA,
         "experiment": experiment,
-        "rows": [
-            {c: (row[c] if not isinstance(row[c], float) else float(_fmt(row[c])))
-             for c in columns}
-            for row in rows
-        ],
+        "rows": [{c: row[c] for c in columns} for row in rows],
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -254,7 +221,6 @@ def _cmd_regularize(args) -> int:
     for m in clones_list:
         if m < 1:
             raise ConfigError(f"clones: must be >= 1, got {m}")
-        _check_register(2 * m - 1)
     for cap in caps:
         if cap < 1:
             raise ConfigError(f"bond-caps: must be >= 1, got {cap}")
@@ -287,7 +253,6 @@ def _cmd_synthesize(args) -> int:
     for n in qubit_list:
         if n < 1 or n % 2 == 0:
             raise ConfigError(f"qubits: register must be a positive odd count, got {n}")
-        _check_register(n)
     tasks = [
         (n, args.aux == "on", args.restarts, (qubit.alpha, qubit.beta), args.max_sweeps, args.seed)
         for n in qubit_list
@@ -305,8 +270,8 @@ def _cmd_gm_info(args) -> int:
     qubit = _parse_input_qubit(args.input_qubit)
     rows = []
     for m in clones_list:
-        if not 1 <= m <= 8:
-            raise ConfigError(f"clones: gm-info supports 1..8 clones, got {m}")
+        if m < 1:
+            raise ConfigError(f"clones: must be >= 1, got {m}")
         spec = GMSpec(m, qubit)
         chain = gm_mps(spec)
         if args.mps_out:
@@ -402,7 +367,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         "gm-info", help="structural facts of a cloner state"
     )
     _add_common(p)
-    p.add_argument("--clones", help="clone counts (1..8), comma separated")
+    p.add_argument("--clones", help=f"clone counts (1..{MAX_CLONES}), comma separated")
     p.add_argument("--mps-out", help="also dump the exact MPS as JSON to this path")
     return parser, subparsers
 

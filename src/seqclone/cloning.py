@@ -16,7 +16,9 @@ only counts 1s (Delgado et al., PRL 98, 150502 (2007)): clone sites carry
 the 1s emitted so far, a weight matrix at the clone/anticlone cut picks
 ``j`` and the input amplitude, and anticlone sites count down the 1s still
 owed.  :func:`gm_chain` is that chain, :func:`gm_mps` its canonical form
-and :func:`gm_state` its dense expansion.
+and :func:`gm_state` its dense expansion.  Every route to the state goes
+through :func:`gm_chain`, which enforces the one size limit,
+:data:`MAX_CLONES`.
 """
 
 from __future__ import annotations
@@ -27,8 +29,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mps as mps_mod
-from .errors import CanonicalFormError
+from .errors import CanonicalFormError, ResourceLimitError
 from .linalg import RANK_RTOL
+
+#: Largest clone count (``n = 2M - 1 <= 99`` qubits).  The counter chain's
+#: dense ``(2, k+1, k+2)`` sites hold about ``64 M^3 / 3`` bytes, so memory,
+#: not the bond dimensions, is what grows without bound.
+MAX_CLONES = 50
 
 
 @dataclass(frozen=True)
@@ -94,9 +101,15 @@ def gm_chain(spec: GMSpec) -> mps_mod.MatrixProductState:
     The cut matrix maps ``j`` clone 1s to ``M - 1 - j`` anticlone 1s owed
     (``alpha``) and ``M - j`` to ``j`` (``beta``), with weight ``a_j`` over
     ``sqrt(C(M, j) C(M-1, j))``.  Each amplitude is one cut entry times
-    ones, so the dense expansion is exact, zeros included.
+    ones, so the dense expansion is exact, zeros included.  Raises
+    :class:`ResourceLimitError` above :data:`MAX_CLONES` clones.
     """
     m = spec.clones
+    if m > MAX_CLONES:
+        raise ResourceLimitError(
+            f"{m} clones ({spec.qubits} qubits) exceed the limit of {MAX_CLONES} "
+            f"clones ({2 * MAX_CLONES - 1} qubits)"
+        )
     cut = np.zeros((m + 1, m), dtype=np.complex128)
     for j, a in enumerate(gm_coefficients(m)):
         # rounded per block, as a product of normalized symmetric blocks is,

@@ -22,16 +22,13 @@ import numpy as np
 
 from . import linalg, mps as mps_mod
 from .cloning import GMSpec, gm_mps
-from .errors import CanonicalFormError, ResourceLimitError, StructureError, check_fidelity
+from .errors import CanonicalFormError, StructureError, check_fidelity
 from .mps import MatrixProductState
 
 METHOD_SVD = "svd_truncation"
 METHOD_VARIATIONAL = "variational"
 METHOD_VARIATIONAL_SEEDED = "variational_seeded_by_svd"
 METHODS = (METHOD_SVD, METHOD_VARIATIONAL, METHOD_VARIATIONAL_SEEDED)
-
-#: Largest register a scan accepts.
-MAX_SCAN_QUBITS = 15
 
 
 @dataclass
@@ -51,36 +48,6 @@ class FidelityReport:
         check_fidelity(self.fidelity)
         if abs(self.error - (1.0 - self.fidelity)) > 1e-12:
             raise ValueError("error field must equal 1 - fidelity")
-
-
-@dataclass
-class CompressionRequest:
-    """Parameters for :func:`variational_compress`.
-
-    ``target`` may be an MPS or a dense statevector (decomposed on demand).
-    """
-
-    target: MatrixProductState | np.ndarray
-    bond_cap: int
-    method: str = METHOD_VARIATIONAL_SEEDED
-    max_sweeps: int = 50
-    convergence_tol: float = 1e-12
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.bond_cap < 1:
-            raise ValueError(f"bond cap must be >= 1, got {self.bond_cap}")
-        if self.max_sweeps < 1:
-            raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
-        if not self.convergence_tol > 0:
-            raise ValueError("convergence_tol must be positive")
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
-
-    def target_mps(self) -> MatrixProductState:
-        if isinstance(self.target, MatrixProductState):
-            return self.target
-        return mps_mod.from_statevector(np.asarray(self.target), 0.0)
 
 
 def fidelity(a: MatrixProductState, b: MatrixProductState) -> float:
@@ -233,7 +200,12 @@ class _SweepWorkspace:
 
 
 def variational_compress(
-    req: CompressionRequest,
+    target: MatrixProductState,
+    bond_cap: int,
+    method: str = METHOD_VARIATIONAL_SEEDED,
+    max_sweeps: int = 50,
+    convergence_tol: float = 1e-12,
+    seed: int = 0,
 ) -> tuple[MatrixProductState, FidelityReport]:
     """Alternating least-squares minimization of ``||target - trial||^2``.
 
@@ -249,9 +221,17 @@ def variational_compress(
     When seeded, the sweep starts from the per-bond truncated state and the
     result is guaranteed not to be worse than that seed.
     """
-    if req.method == METHOD_SVD:
+    if bond_cap < 1:
+        raise ValueError(f"bond cap must be >= 1, got {bond_cap}")
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
+    if not convergence_tol > 0:
+        raise ValueError("convergence_tol must be positive")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+    if method == METHOD_SVD:
         raise ValueError("use svd_truncate_mps for the pure truncation method")
-    target = _absorb_boundaries(req.target_mps())
+    target = _absorb_boundaries(target)
     nrm = mps_mod.norm(target)
     if not 0.0 < nrm < np.inf:  # also rejects NaN
         raise ValueError(f"target norm must be positive and finite, got {nrm!r}")
@@ -264,17 +244,17 @@ def variational_compress(
         target.canonical = True
 
     seed_report = None
-    if req.method == METHOD_VARIATIONAL_SEEDED:
-        if req.bond_cap >= target.max_bond:
+    if method == METHOD_VARIATIONAL_SEEDED:
+        if bond_cap >= target.max_bond:
             report = FidelityReport(
-                fidelity=1.0, error=0.0, sweeps_used=0, method=req.method,
-                bond_cap=req.bond_cap, qubits=n,
+                fidelity=1.0, error=0.0, sweeps_used=0, method=method,
+                bond_cap=bond_cap, qubits=n,
             )
             return target.copy(), report
         # per-bond truncation leaves sites 1..n-1 right-orthonormal
-        trial, seed_report = svd_truncate_mps(target, req.bond_cap)
+        trial, seed_report = svd_truncate_mps(target, bond_cap)
     else:
-        trial = _random_trial(n, req.bond_cap, np.random.default_rng(req.seed))
+        trial = _random_trial(n, bond_cap, np.random.default_rng(seed))
         for k in range(n - 1, 0, -1):
             mps_mod.shift_centre(trial.sites, k, -1)
 
@@ -282,9 +262,9 @@ def variational_compress(
     sweep_errors: list[float] = []
     converged = False
     sweeps = 0
-    for sweeps in range(1, req.max_sweeps + 1):
+    for sweeps in range(1, max_sweeps + 1):
         sweep_errors.append(work.sweep())
-        if len(sweep_errors) >= 2 and abs(sweep_errors[-2] - sweep_errors[-1]) < req.convergence_tol:
+        if len(sweep_errors) >= 2 and abs(sweep_errors[-2] - sweep_errors[-1]) < convergence_tol:
             converged = True
             break
 
@@ -298,8 +278,8 @@ def variational_compress(
         fidelity=f,
         error=1.0 - f,
         sweeps_used=sweeps,
-        method=req.method,
-        bond_cap=req.bond_cap,
+        method=method,
+        bond_cap=bond_cap,
         qubits=n,
         converged=converged,
         sweep_errors=sweep_errors,
@@ -318,15 +298,7 @@ def compress(
     """Dispatch a single compression by method tag."""
     if method == METHOD_SVD:
         return svd_truncate_mps(target, bond_cap)
-    req = CompressionRequest(
-        target=target,
-        bond_cap=bond_cap,
-        method=method,
-        max_sweeps=max_sweeps,
-        convergence_tol=convergence_tol,
-        seed=seed,
-    )
-    return variational_compress(req)
+    return variational_compress(target, bond_cap, method, max_sweeps, convergence_tol, seed)
 
 
 def regularization_scan(
@@ -342,12 +314,6 @@ def regularization_scan(
     Builds the exact cloner chain once and runs each requested compression
     on it.  Deterministic for a fixed seed.
     """
-    n = spec.qubits
-    if n > MAX_SCAN_QUBITS:
-        raise ResourceLimitError(
-            f"register of {n} qubits exceeds the register cap "
-            f"({MAX_SCAN_QUBITS})"
-        )
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")

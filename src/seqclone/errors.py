@@ -21,7 +21,8 @@ class NumericalFailure(RuntimeError):
 
 
 class ResourceLimitError(RuntimeError):
-    """Requested register size exceeds the configured register cap."""
+    """Requested cloner exceeds ``cloning.MAX_CLONES``, the one size limit,
+    checked where the cloner chain is built."""
 
 
 def check_fidelity(value: float) -> None:

@@ -1,7 +1,10 @@
 """Tests for the experiment runner CLI."""
 
+import contextlib
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,26 +15,11 @@ import seqclone
 from seqclone.cli import main
 
 
-def run_cli(args, tmp_path=None, env_extra=None):
+def run_cli(args):
     """Invoke the CLI in-process; returns (exit_code, captured stderr)."""
-    import contextlib
-    import io
-    import os
-
-    old_env = {}
-    for key, value in (env_extra or {}).items():
-        old_env[key] = os.environ.get(key)
-        os.environ[key] = value
     err = io.StringIO()
-    try:
-        with contextlib.redirect_stderr(err):
-            code = main(args)
-    finally:
-        for key, value in old_env.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+    with contextlib.redirect_stderr(err):
+        code = main(args)
     return code, err.getvalue()
 
 
@@ -85,9 +73,19 @@ class TestGmInfo:
         assert not dump.exists()
 
     def test_rejects_large_clone_count(self, tmp_path):
-        code, err = run_cli(["gm-info", "--clones", "9", "-o", str(tmp_path / "x.csv")])
-        assert code == 2
+        code, err = run_cli(["gm-info", "--clones", "51", "-o", str(tmp_path / "x.csv")])
+        assert code == 3
         assert "clones" in err
+
+    def test_fifty_clones(self, tmp_path):
+        out = tmp_path / "info.csv"
+        code, _ = run_cli(["gm-info", "--clones", "50", "-o", str(out)])
+        assert code == 0
+        rows = read_rows(out)
+        assert [r["value"] for r in rows if r["record"] == "max_bond"] == ["50"]
+        fids = [float(r["value"]) for r in rows if r["record"] == "clone_fidelity"]
+        assert len(fids) == 50
+        assert max(abs(f - 101 / 150) for f in fids) < 1e-12
 
 
 class TestRegularize:
@@ -150,23 +148,36 @@ class TestRegularize:
 
     def test_resource_cap_exit_code(self, tmp_path):
         code, err = run_cli([
-            "regularize", "--clones", "9", "--bond-caps", "2",
+            "regularize", "--clones", "51", "--bond-caps", "2",
             "--methods", "svd", "-o", str(tmp_path / "x.csv"),
         ])
         assert code == 3
-        assert "SEQCLONE_MAX_QUBITS" in err
+        assert "limit of 50 clones" in err
 
-    def test_env_var_raises_cap_with_warning(self, tmp_path):
+    def test_resource_cap_crosses_process_pool(self, tmp_path):
+        out = tmp_path / "x.csv"
+        code, err = run_cli([
+            "regularize", "--clones", "2,51", "--bond-caps", "2",
+            "--methods", "svd", "-o", str(out), "--threads", "2",
+        ])
+        assert code == 3
+        assert "limit of 50 clones" in err
+        assert not out.exists()
+
+    def test_fifty_clones_at_floor(self, tmp_path):
         out = tmp_path / "scan.csv"
-        code, err = run_cli(
-            [
-                "regularize", "--clones", "2", "--bond-caps", "2",
-                "--methods", "svd", "-o", str(out), "--threads", "1",
-            ],
-            env_extra={"SEQCLONE_MAX_QUBITS": "17"},
-        )
+        code, _ = run_cli([
+            "regularize", "--clones", "50", "--bond-caps", "2,3,4",
+            "--methods", "svd,variational", "-o", str(out), "--threads", "1",
+        ])
         assert code == 0
-        assert "unsupported" in err
+        rows = read_rows(out)
+        assert len(rows) == 6
+        m = 50
+        for row in rows:
+            d = int(row["bond_cap"])
+            floor = 1.0 - math.sqrt(d * (2 * m - d + 1) / (m * (m + 1)))
+            assert abs(float(row["error"]) - floor) < 1e-12
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -211,6 +222,13 @@ class TestSynthesize:
         ])
         assert code == 2
         assert "qubits" in err
+
+    def test_resource_cap_exit_code(self, tmp_path):
+        code, err = run_cli([
+            "synthesize", "--qubits", "101", "-o", str(tmp_path / "x.csv"), "--threads", "1",
+        ])
+        assert code == 3
+        assert "101 qubits" in err and "limit of 50 clones" in err
 
     def test_coupling_model_flag_is_gone(self, tmp_path, capsys):
         # the unrestricted baseline is regularize --bond-caps 2 --methods variational

@@ -11,11 +11,12 @@ from seqclone.cloning import (
     PureQubit,
     clone_fidelities,
     clone_fidelity_oracle,
+    gm_chain,
     gm_coefficients,
     gm_mps,
     gm_state,
 )
-from seqclone.errors import CanonicalFormError
+from seqclone.errors import CanonicalFormError, ResourceLimitError
 from seqclone.linalg import RANK_RTOL
 from seqclone.mps import MatrixProductState, from_statevector, to_statevector
 
@@ -150,6 +151,13 @@ class TestGmState:
         assert np.allclose(v, np.swapaxes(v, 0, 2), atol=1e-12)
         assert np.allclose(v, np.swapaxes(v, 1, 2), atol=1e-12)
         assert np.allclose(v, np.swapaxes(v, 3, 4), atol=1e-12)
+
+
+@pytest.mark.parametrize("build", [gm_chain, gm_mps, gm_state], ids=lambda f: f.__name__)
+def test_size_limit_at_chain_build(build):
+    # 51 clones (101 qubits) is one past cloning.MAX_CLONES
+    with pytest.raises(ResourceLimitError, match="limit of 50 clones"):
+        build(GMSpec(51))
 
 
 class TestCloneFidelityOracle:
