@@ -124,9 +124,7 @@ def _parse_methods(text: str) -> list[str]:
 
 
 def _regularize_point(task):
-    clones, cap, method, qubit_re_im, max_sweeps, tol, seed = task
-    spec = GMSpec(clones, PureQubit(*qubit_re_im))
-    target = gm_mps(spec)
+    target, cap, method, max_sweeps, tol, seed = task
     start = time.perf_counter()
     _, report = compression.compress(
         target, cap, method, max_sweeps=max_sweeps, convergence_tol=tol, seed=seed
@@ -134,8 +132,8 @@ def _regularize_point(task):
     wall = time.perf_counter() - start
     return {
         "experiment": "regularize",
-        "n": spec.qubits,
-        "M": clones,
+        "n": target.n_qubits,
+        "M": (target.n_qubits + 1) // 2,
         "bond_cap": cap,
         "aux": None,
         "method": report.method,
@@ -228,13 +226,14 @@ def _cmd_regularize(args) -> int:
         raise ConfigError(f"max-sweeps: must be >= 1, got {args.max_sweeps}")
     if not args.tol > 0:
         raise ConfigError(f"tol: must be positive, got {args.tol!r}")
-    qubit_re_im = (qubit.alpha, qubit.beta)
-    tasks = [
-        (m, cap, method, qubit_re_im, args.max_sweeps, args.tol, args.seed)
-        for m in clones_list
-        for cap in caps
-        for method in methods
-    ]
+    tasks = []
+    for m in clones_list:
+        target = gm_mps(GMSpec(m, qubit))
+        tasks += [
+            (target, cap, method, args.max_sweeps, args.tol, args.seed)
+            for cap in caps
+            for method in methods
+        ]
     rows = _run_pool(_regularize_point, tasks, args.threads)
     text = _render_rows(rows, RESULT_COLUMNS, args.format, "regularize", args.timing)
     _write_output(text, args.output)

@@ -158,6 +158,12 @@ class _SweepWorkspace:
     ``X^i = lmix[k] T_k^i rmix[k]^T``, and ``||t - s||^2 = 1 - ||X||^2``
     after it.  Every contraction is a plain matrix product broadcast over the
     physical index of the ``(2, left, right)`` site stacks.
+
+    Each site visit projects once and orthonormalizes by :func:`linalg.qr_q`.
+    The ``R`` factor is not carried: the next site is overwritten by its own
+    projection before anything reads it.  The end sites are projected once
+    per turn, and the projection of site 0 (``centre``) carries over to the
+    next sweep, since its environments do not change in between.
     """
 
     def __init__(self, target_sites, trial_sites):
@@ -169,6 +175,10 @@ class _SweepWorkspace:
         self.rmix = [one] * self.n
         for k in range(self.n - 1, 0, -1):
             self._extend_rmix(k)
+        self.centre = self._project(0)
+
+    def _project(self, k):
+        return self.lmix[k] @ self.ts[k] @ self.rmix[k].T
 
     def _extend_lmix(self, k):
         x, t = self.xs[k], self.ts[k]
@@ -178,25 +188,22 @@ class _SweepWorkspace:
         x, t = self.xs[k], self.ts[k]
         self.rmix[k - 1] = (x.conj() @ self.rmix[k] @ t.transpose(0, 2, 1)).sum(0)
 
-    def _update(self, k, step) -> float:
-        """Project site ``k``, then move the centre one site by ``step``."""
-        x = self.lmix[k] @ self.ts[k] @ self.rmix[k].T
-        self.xs[k] = x
-        if 0 <= k + step < self.n:
-            mps_mod.shift_centre(self.xs, k, step)
-            if step > 0:
-                self._extend_lmix(k)
-            else:
-                self._extend_rmix(k)
-        return 1.0 - float(np.vdot(x, x).real)
-
     def sweep(self) -> float:
         """One left-to-right plus right-to-left pass; returns final ``||t-s||^2``."""
-        for k in range(self.n):
-            err = self._update(k, +1)
-        for k in range(self.n - 1, -1, -1):
-            err = self._update(k, -1)
-        return err
+        x = self.centre
+        for k in range(self.n - 1):
+            two, lw, rw = x.shape
+            self.xs[k] = linalg.qr_q(x.reshape(two * lw, rw)).reshape(two, lw, -1)
+            self._extend_lmix(k)
+            x = self._project(k + 1)
+        for k in range(self.n - 1, 0, -1):
+            two, lw, rw = x.shape
+            q = linalg.qr_q(x.transpose(1, 0, 2).reshape(lw, two * rw).conj().T)
+            self.xs[k] = q.conj().T.reshape(-1, two, rw).transpose(1, 0, 2)
+            self._extend_rmix(k)
+            x = self._project(k - 1)
+        self.xs[0] = self.centre = x
+        return 1.0 - float(np.vdot(x, x).real)
 
 
 def variational_compress(

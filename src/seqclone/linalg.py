@@ -4,6 +4,8 @@ All matrices are ``numpy.ndarray`` of complex128 with ``ndim == 2``.
 Conventions fixed here and relied upon everywhere else:
 
 * singular values are returned in non-increasing order,
+* QR factors are thin (``q`` has ``min(m, n)`` orthonormal columns) and
+  come straight from LAPACK's Householder routines, with no phase fix,
 * SVD phases are made deterministic (the first entry of every left singular
   vector whose magnitude is within a relative ``PIVOT_RTOL`` of the largest
   is real and positive),
@@ -16,6 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import NumericalFailure
 
@@ -80,6 +83,40 @@ def svd(a: np.ndarray) -> SVDResult:
             u[:, j] *= np.conj(phase)
             vh[j, :] *= phase
     return SVDResult(left=u, singulars=s, right=vh.conj().T)
+
+
+def _householder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thin ``q`` and LAPACK's packed factor, whose upper triangle is ``r``."""
+    a = _as_matrix(a)
+    packed, tau, _, info = lapack.zgeqrf(a)
+    if info == 0:
+        q, _, info = lapack.zungqr(packed[:, : tau.shape[0]], tau)
+    if info != 0:
+        raise NumericalFailure(
+            f"QR failed (LAPACK info {info}) for a {a.shape[0]}x{a.shape[1]} matrix"
+        )
+    return q, packed
+
+
+def qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR ``a = q @ r`` by one ``zgeqrf``/``zungqr`` pair.
+
+    For an ``m x n`` input, ``q`` is ``m x k`` with orthonormal columns and
+    ``r`` is ``k x n`` upper triangular, ``k = min(m, n)``.  These are the
+    routines behind ``numpy.linalg.qr(a)``, called without its wrapper's
+    per-call cost.
+
+    Raises:
+        ValueError: empty input.
+        NumericalFailure: LAPACK reported an error.
+    """
+    q, packed = _householder(a)
+    return q, np.triu(packed[: q.shape[1]])
+
+
+def qr_q(a: np.ndarray) -> np.ndarray:
+    """The ``q`` of :func:`qr` alone, for callers that only orthonormalize."""
+    return _householder(a)[0]
 
 
 def truncate_rank(a: np.ndarray, k: int) -> np.ndarray:

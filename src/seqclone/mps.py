@@ -109,19 +109,21 @@ class MatrixProductState:
 
 
 def shift_centre(sites: list[np.ndarray], k: int, step: int) -> None:
-    """Turn site ``k`` into an isometry by QR and carry the rest to ``k + step``.
+    """Turn site ``k`` into an isometry by QR and carry ``r`` to ``k + step``.
 
     ``step = +1`` leaves site ``k`` left-orthonormal, ``step = -1``
     right-orthonormal (``sum_i X^i X^i{dagger} = 1``); the chain still
     represents the same state.  Tensors are replaced, never written into.
+    The QR is :func:`linalg.qr`; a caller that overwrites site ``k + step``
+    next, as the ALS sweep does, needs only :func:`linalg.qr_q`.
     """
     two, lw, rw = sites[k].shape
     if step > 0:
-        q, r = np.linalg.qr(sites[k].reshape(two * lw, rw))
+        q, r = linalg.qr(sites[k].reshape(two * lw, rw))
         sites[k] = q.reshape(two, lw, -1)
         sites[k + 1] = r @ sites[k + 1]
     else:
-        q, r = np.linalg.qr(sites[k].transpose(1, 0, 2).reshape(lw, two * rw).conj().T)
+        q, r = linalg.qr(sites[k].transpose(1, 0, 2).reshape(lw, two * rw).conj().T)
         sites[k] = q.conj().T.reshape(-1, two, rw).transpose(1, 0, 2)
         sites[k - 1] = sites[k - 1] @ r.conj().T
 

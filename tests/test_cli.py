@@ -12,7 +12,9 @@ import sys
 import pytest
 
 import seqclone
+from seqclone import cli
 from seqclone.cli import main
+from seqclone.cloning import gm_mps
 
 
 def run_cli(args):
@@ -102,6 +104,25 @@ class TestRegularize:
         assert {r["method"] for r in rows} == {
             "svd_truncation", "variational_seeded_by_svd",
         }
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_chain_built_once_per_clone_count(self, tmp_path, monkeypatch, threads):
+        built = []
+
+        def counting_gm_mps(spec):
+            built.append(spec.clones)
+            return gm_mps(spec)
+
+        monkeypatch.setattr(cli, "gm_mps", counting_gm_mps)
+        out = tmp_path / "scan.csv"
+        code, _ = run_cli([
+            "regularize", "--clones", "2,3", "--bond-caps", "2,3",
+            "--methods", "svd,variational,variational-unseeded", "-o", str(out),
+            "--threads", threads,
+        ])
+        assert code == 0
+        assert built == [2, 3]
+        assert [(r["M"], r["n"]) for r in read_rows(out)] == [("2", "3")] * 6 + [("3", "5")] * 6
 
     def test_rows_reparse_into_reports(self, tmp_path):
         out = tmp_path / "scan.csv"

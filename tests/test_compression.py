@@ -316,7 +316,9 @@ class TestRegularizationScan:
 
 
 class _EinsumWorkspace(compression._SweepWorkspace):
-    """Reference sweep kernel: every contraction by ``einsum``, one per site."""
+    """Reference sweep kernel: every contraction by ``einsum``, every site
+    projected on every visit, ``numpy.linalg.qr`` with the ``R`` factor
+    carried into the next site."""
 
     def _extend_lmix(self, k):
         self.lmix[k + 1] = np.einsum("ilr,lt,itu->ru", self.xs[k].conj(), self.lmix[k], self.ts[k])
@@ -340,6 +342,13 @@ class _EinsumWorkspace(compression._SweepWorkspace):
                 self.xs[k - 1] = np.einsum("ilr,sr->ils", self.xs[k - 1], r.conj())
                 self._extend_rmix(k)
         return 1.0 - float(np.vdot(x, x).real)
+
+    def sweep(self):
+        for k in range(self.n):
+            err = self._update(k, +1)
+        for k in range(self.n - 1, -1, -1):
+            err = self._update(k, -1)
+        return err
 
 
 def _compress_scan_plan(seed):
@@ -375,3 +384,21 @@ class TestSweepKernel:
             ref = reference[key]
             assert (r.sweeps_used, r.converged) == (ref.sweeps_used, ref.converged), key
             assert abs(r.fidelity - ref.fidelity) <= 1e-14, key
+
+    @pytest.mark.parametrize("qubit", [KET_PLUS, PureQubit(0.6, 0.8j)], ids=["plus", "complex"])
+    def test_one_qubit_sweep_needs_no_qr(self, monkeypatch, qubit):
+        # a one-site sweep only projects: the trial becomes the target itself
+        target = from_statevector(qubit.vector)
+
+        def no_qr(a):
+            raise AssertionError("a one-site sweep ran a QR")
+
+        monkeypatch.setattr(compression.linalg, "qr_q", no_qr)
+        out, report = variational_compress(target, 1, METHOD_VARIATIONAL, seed=3)
+        monkeypatch.setattr(compression, "_SweepWorkspace", _EinsumWorkspace)
+        _, ref = variational_compress(target, 1, METHOD_VARIATIONAL, seed=3)
+        assert (report.sweeps_used, report.converged) == (ref.sweeps_used, ref.converged) == (2, True)
+        assert report.sweep_errors == ref.sweep_errors
+        assert report.fidelity == ref.fidelity
+        assert abs(report.error) <= 1e-15
+        assert np.max(np.abs(out.sites[0] - target.sites[0])) <= 1e-15

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from seqclone import linalg
+from seqclone.errors import NumericalFailure
 from seqclone.linalg import (
     complete_to_unitary,
     hermitian_expm,
+    qr,
+    qr_q,
     svd,
     truncate_rank,
 )
@@ -73,6 +77,63 @@ class TestSvd:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             svd(np.zeros((0, 3)))
+
+
+def _qr_cases():
+    rng = np.random.default_rng(7)
+    tall, square, wide = (random_complex(rng, *shape) for shape in [(16, 8), (4, 4), (3, 6)])
+    zero_column = random_complex(rng, 6, 3)
+    zero_column[:, 1] = 0.0
+    repeated_column = random_complex(rng, 6, 3)
+    repeated_column[:, 2] = repeated_column[:, 0]
+    return {
+        "tall": tall,
+        "square": square,
+        "wide": wide,
+        "zero-column": zero_column,
+        "repeated-column": repeated_column,
+    }
+
+
+QR_CASES = _qr_cases()
+
+
+class TestQr:
+    @pytest.mark.parametrize("name", list(QR_CASES))
+    def test_thin_factors(self, name):
+        a = QR_CASES[name]
+        q, r = qr(a)
+        k = min(a.shape)
+        assert q.shape == (a.shape[0], k) and r.shape == (k, a.shape[1])
+        assert np.max(np.abs(q.conj().T @ q - np.eye(k))) <= 1e-14
+        assert np.array_equal(r, np.triu(r))
+        assert np.max(np.abs(q @ r - a)) <= 1e-14
+        assert np.array_equal(qr_q(a), q)
+
+    @pytest.mark.parametrize("name", list(QR_CASES))
+    def test_agrees_with_numpy(self, name):
+        a = QR_CASES[name]
+        q, r = qr(a)
+        q_ref, r_ref = np.linalg.qr(a)
+        assert np.max(np.abs(q - q_ref)) <= 1e-14
+        assert np.max(np.abs(r - r_ref)) <= 1e-14
+
+    @pytest.mark.parametrize("routine", ["zgeqrf", "zungqr"])
+    def test_lapack_error_raises(self, monkeypatch, routine):
+        real = getattr(linalg.lapack, routine)
+
+        def failing(*args, **kwargs):
+            *out, _ = real(*args, **kwargs)
+            return (*out, -1)
+
+        monkeypatch.setattr(linalg.lapack, routine, failing)
+        for factor in (qr, qr_q):
+            with pytest.raises(NumericalFailure, match="QR failed"):
+                factor(QR_CASES["square"])
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError):
+            qr(np.zeros((0, 2), dtype=complex))
 
 
 class TestTruncateRank:
