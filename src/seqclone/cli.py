@@ -166,7 +166,7 @@ def _synthesize_point(task):
         "fidelity": result.fidelity,
         "error": 1.0 - result.fidelity,
         "sweeps": result.iterations,
-        "restarts": result.restarts_used,
+        "restarts": restarts,
         "wall_seconds": wall,
         "seed": seed,
     }

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mps as mps_mod
-from .errors import CanonicalFormError, ResourceLimitError
+from .errors import ResourceLimitError
 from .linalg import RANK_RTOL
 
 #: Largest clone count (``n = 2M - 1 <= 99`` qubits).  The counter chain's
@@ -135,7 +135,7 @@ def gm_mps(spec: GMSpec) -> mps_mod.MatrixProductState:
     for k in range(len(sites) - 1):
         sites[k], carry = mps_mod.split_site(sites[k].transpose(1, 0, 2), RANK_RTOL)
         sites[k + 1] = np.einsum("lr,irt->ilt", carry, sites[k + 1])
-    return mps_mod.MatrixProductState(sites=sites, canonical=True)
+    return mps_mod.MatrixProductState(sites=sites)
 
 
 def gm_state(spec: GMSpec) -> np.ndarray:
@@ -153,10 +153,10 @@ def clone_fidelities(chain: mps_mod.MatrixProductState, qubit: PureQubit) -> lis
     ``chain`` is the left-canonical cloner output for input ``qubit`` (as
     :func:`gm_mps` returns it), so the sites left of clone ``k`` drop out of
     its one-site density and a single right-to-left environment, extended
-    site by site, yields all ``M`` values.
+    site by site, yields all ``M`` values.  A chain that is not canonical
+    raises :class:`~seqclone.errors.CanonicalFormError`.
     """
-    if not chain.canonical:
-        raise CanonicalFormError("clone fidelities need the left-canonical cloner chain")
+    chain.require_canonical("clone fidelities")
     m = (chain.n_qubits + 1) // 2
     v = qubit.vector
     env = np.ones((1, 1), dtype=np.complex128)

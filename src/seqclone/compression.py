@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg, mps as mps_mod
 from .cloning import GMSpec, gm_mps
-from .errors import CanonicalFormError, StructureError, check_fidelity
+from .errors import StructureError, check_fidelity
 from .mps import MatrixProductState
 
 METHOD_SVD = "svd_truncation"
@@ -36,7 +36,6 @@ class FidelityReport:
     """Outcome of one compression run."""
 
     fidelity: float
-    error: float
     sweeps_used: int
     method: str
     bond_cap: int
@@ -46,8 +45,11 @@ class FidelityReport:
 
     def __post_init__(self):
         check_fidelity(self.fidelity)
-        if abs(self.error - (1.0 - self.fidelity)) > 1e-12:
-            raise ValueError("error field must equal 1 - fidelity")
+
+    @property
+    def error(self) -> float:
+        """``1 - fidelity``."""
+        return 1.0 - self.fidelity
 
 
 def fidelity(a: MatrixProductState, b: MatrixProductState) -> float:
@@ -67,11 +69,9 @@ def _absorb_boundaries(m: MatrixProductState) -> MatrixProductState:
     if out.phi_final.shape[0] != 1 or not np.allclose(out.phi_final, [1.0]):
         out.sites[0] = np.einsum("l,ilr->ir", out.phi_final.conj(), out.sites[0])[:, None, :]
         out.phi_final = np.ones(1, dtype=np.complex128)
-        out.canonical = False
     if out.phi_initial.shape[0] != 1 or not np.allclose(out.phi_initial, [1.0]):
         out.sites[-1] = np.einsum("ilr,r->il", out.sites[-1], out.phi_initial)[:, :, None]
         out.phi_initial = np.ones(1, dtype=np.complex128)
-        out.canonical = False
     return out
 
 
@@ -90,15 +90,10 @@ def svd_truncate_mps(
     """
     if bond_cap < 1:
         raise ValueError(f"bond cap must be >= 1, got {bond_cap}")
-    if not target.left_orthonormality_defect() <= 1e-8:  # also rejects NaN
-        raise CanonicalFormError(
-            "per-bond truncation needs a left-orthonormal (canonical) chain; "
-            "rebuild it with from_statevector first"
-        )
+    target.require_canonical("per-bond truncation")
     if bond_cap >= target.max_bond:
         report = FidelityReport(
             fidelity=1.0,
-            error=0.0,
             sweeps_used=0,
             method=METHOD_SVD,
             bond_cap=bond_cap,
@@ -124,7 +119,6 @@ def svd_truncate_mps(
     f = min(abs(mps_mod.overlap(target, truncated)), 1.0)
     report = FidelityReport(
         fidelity=f,
-        error=1.0 - f,
         sweeps_used=1,
         method=METHOD_SVD,
         bond_cap=bond_cap,
@@ -245,16 +239,17 @@ def variational_compress(
     if abs(nrm - 1.0) > 1e-10:
         target.sites[0] = target.sites[0] / nrm
     n = target.n_qubits
-    if target.left_orthonormality_defect() > 1e-8:
+    if not target.canonical:
         for k in range(n - 1):
             mps_mod.shift_centre(target.sites, k, +1)
-        target.canonical = True
+        # a norm within 1e-10 of 1 can still leave a last-site defect above CANONICAL_TOL
+        target.sites[-1] = target.sites[-1] / np.linalg.norm(target.sites[-1])
 
     seed_report = None
     if method == METHOD_VARIATIONAL_SEEDED:
         if bond_cap >= target.max_bond:
             report = FidelityReport(
-                fidelity=1.0, error=0.0, sweeps_used=0, method=method,
+                fidelity=1.0, sweeps_used=0, method=method,
                 bond_cap=bond_cap, qubits=n,
             )
             return target.copy(), report
@@ -283,7 +278,6 @@ def variational_compress(
         out, f = trial, seed_report.fidelity
     report = FidelityReport(
         fidelity=f,
-        error=1.0 - f,
         sweeps_used=sweeps,
         method=method,
         bond_cap=bond_cap,

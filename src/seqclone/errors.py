@@ -12,7 +12,8 @@ class StructureError(ValueError):
 
 class CanonicalFormError(ValueError):
     """Operation requires a left-orthonormal (canonical) matrix-product
-    state; rebuild one with ``from_statevector`` first."""
+    state; the message gives the measured orthonormality defect and
+    ``mps.CANONICAL_TOL``."""
 
 
 class NumericalFailure(RuntimeError):

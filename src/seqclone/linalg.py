@@ -74,14 +74,13 @@ def svd(a: np.ndarray) -> SVDResult:
         ) from exc
     u = np.asarray(u, dtype=np.complex128)
     vh = np.asarray(vh, dtype=np.complex128)
-    for j in range(u.shape[1]):
-        mags = np.abs(u[:, j])
-        pivot = np.argmax(mags >= (1.0 - PIVOT_RTOL) * mags.max())
-        mag = mags[pivot]
-        if mag > 0.0:
-            phase = u[pivot, j] / mag
-            u[:, j] *= np.conj(phase)
-            vh[j, :] *= phase
+    # columns of u have unit norm, so every pivot magnitude is positive
+    mags = np.abs(u)
+    pivots = np.argmax(mags >= (1.0 - PIVOT_RTOL) * mags.max(axis=0), axis=0)
+    cols = np.arange(u.shape[1])
+    phase = u[pivots, cols] / mags[pivots, cols]
+    u *= phase.conj()
+    vh *= phase[:, None]
     return SVDResult(left=u, singulars=s, right=vh.conj().T)
 
 

@@ -6,7 +6,9 @@ A state is stored as a chain of site tensors plus two boundary vectors::
 
 ``sites[0]`` carries the leftmost (most significant) ket label and the
 decomposition peels that index first, so the chain is left-orthonormal
-(canonical) when produced by :func:`from_statevector`.  ``phi_final``
+(canonical) when produced by :func:`from_statevector`.  Canonical form is
+measured, never stored: :attr:`MatrixProductState.canonical` holds when
+every site is an isometry to :data:`CANONICAL_TOL`.  ``phi_final``
 contracts the left edge as a bra, ``phi_initial`` the right edge as a ket;
 sequential generation emits qubits starting from the *last* stored site
 (the least significant one), consuming ``phi_initial`` as the initial
@@ -25,7 +27,8 @@ import numpy as np
 from . import linalg
 from .errors import CanonicalFormError, StructureError
 
-_ORTHO_TOL = 1e-10
+#: Largest left-orthonormality defect of a canonical chain.
+CANONICAL_TOL = 1e-10
 
 
 def num_qubits(amplitudes: np.ndarray) -> int:
@@ -46,14 +49,14 @@ class MatrixProductState:
             the most significant qubit to the least significant one.
         phi_initial: ket boundary on the right edge (length = last right bond).
         phi_final: bra boundary on the left edge (length = first left bond).
-        canonical: True when every site satisfies the left-orthonormality
-            condition ``sum_i V^i{dagger} V^i = 1``.
+
+    Whether the chain is canonical is a property of its sites, so it is
+    read off them (:attr:`canonical`) and cannot be set.
     """
 
     sites: list[np.ndarray]
     phi_initial: np.ndarray = field(default_factory=lambda: np.ones(1, dtype=np.complex128))
     phi_final: np.ndarray = field(default_factory=lambda: np.ones(1, dtype=np.complex128))
-    canonical: bool = False
 
     def __post_init__(self):
         if not self.sites:
@@ -99,12 +102,26 @@ class MatrixProductState:
             worst = np.maximum(worst, np.max(np.abs(gram - np.eye(t.shape[2]))))
         return float(worst)
 
+    @property
+    def canonical(self) -> bool:
+        """True when every site satisfies ``sum_i V^i{dagger} V^i = 1`` to
+        :data:`CANONICAL_TOL` (False when a site holds NaN)."""
+        return self.left_orthonormality_defect() <= CANONICAL_TOL
+
+    def require_canonical(self, purpose: str) -> None:
+        """Raise :class:`CanonicalFormError`, naming the measured defect,
+        unless the chain is :attr:`canonical`; ``purpose`` starts the message."""
+        if not self.canonical:
+            raise CanonicalFormError(
+                f"{purpose} needs a left-orthonormal (canonical) chain: orthonormality "
+                f"defect {self.left_orthonormality_defect():.1e} > {CANONICAL_TOL:g}"
+            )
+
     def copy(self) -> "MatrixProductState":
         return MatrixProductState(
             sites=[t.copy() for t in self.sites],
             phi_initial=self.phi_initial.copy(),
             phi_final=self.phi_final.copy(),
-            canonical=self.canonical,
         )
 
 
@@ -160,7 +177,7 @@ def from_statevector(v: np.ndarray, rank_tol: float = 0.0) -> MatrixProductState
         site, remainder = split_site(remainder.reshape(len(remainder), 2, -1), rank_tol)
         sites.append(site)
     sites.append(remainder.reshape(-1, 2, 1).transpose(1, 0, 2))
-    return MatrixProductState(sites=sites, canonical=True)
+    return MatrixProductState(sites=sites)
 
 
 def to_statevector(m: MatrixProductState) -> np.ndarray:
@@ -206,11 +223,7 @@ def extract_isometries(m: MatrixProductState) -> list[np.ndarray]:
     ``phi_initial (x) |0...0>`` reproduces the dense state with the ancilla
     decoupled, up to the scalar boundary phase.
     """
-    if not m.canonical or m.left_orthonormality_defect() > _ORTHO_TOL:
-        raise CanonicalFormError(
-            "sequential extraction needs a left-orthonormal (canonical) MPS; "
-            "rebuild it with from_statevector first"
-        )
+    m.require_canonical("sequential extraction")
     dim = m.max_bond
     unitaries = []
     for t in reversed(m.sites):
@@ -249,11 +262,12 @@ def _decode_array(doc: dict) -> np.ndarray:
 
 
 def to_json(m: MatrixProductState) -> str:
-    """Serialize an MPS to a JSON document (schema ``seqclone.mps/1``)."""
+    """Serialize an MPS to a JSON document (schema ``seqclone.mps/1``); its
+    ``"canonical"`` flag is :attr:`MatrixProductState.canonical`, for readers."""
     doc = {
         "schema": "seqclone.mps/1",
         "qubits": m.n_qubits,
-        "canonical": bool(m.canonical),
+        "canonical": m.canonical,
         "sites": [_encode_array(t) for t in m.sites],
         "phi_initial": _encode_array(m.phi_initial),
         "phi_final": _encode_array(m.phi_final),
@@ -262,7 +276,8 @@ def to_json(m: MatrixProductState) -> str:
 
 
 def from_json(text: str) -> MatrixProductState:
-    """Inverse of :func:`to_json`; validates the schema tag."""
+    """Inverse of :func:`to_json`; validates the schema tag, the qubit count
+    and the ``"canonical"`` flag against the decoded sites."""
     doc = json.loads(text)
     if doc.get("schema") != "seqclone.mps/1":
         raise StructureError(f"unsupported MPS document schema: {doc.get('schema')!r}")
@@ -270,8 +285,12 @@ def from_json(text: str) -> MatrixProductState:
         sites=[_decode_array(t) for t in doc["sites"]],
         phi_initial=_decode_array(doc["phi_initial"]),
         phi_final=_decode_array(doc["phi_final"]),
-        canonical=bool(doc["canonical"]),
     )
     if mps.n_qubits != doc["qubits"]:
         raise StructureError("qubit count in document does not match site list")
+    if mps.canonical != doc["canonical"]:
+        raise StructureError(
+            f"document flags canonical as {doc['canonical']} but its sites have "
+            f"orthonormality defect {mps.left_orthonormality_defect():.1e}"
+        )
     return mps

@@ -113,22 +113,19 @@ class CouplingSchedule:
 
 @dataclass
 class SynthesisResult:
-    """Best schedule found by :func:`optimize_schedule`."""
+    """Best schedule found by :func:`optimize_schedule`; its cost is
+    ``2 (1 - fidelity)``."""
 
     generated: MatrixProductState
     fidelity: float
-    cost: float
     optimal_phi_final: np.ndarray
     iterations: int
-    restarts_used: int
     converged: bool = True
     schedule: CouplingSchedule | None = None
     cost_history: list[float] = dc_field(default_factory=list)
 
     def __post_init__(self):
         check_fidelity(self.fidelity)
-        if abs(self.cost - 2.0 * (1.0 - self.fidelity)) > 1e-12:
-            raise ValueError("cost field must equal 2 (1 - fidelity)")
 
 
 def euler_zyz(theta, phi, lam) -> np.ndarray:
@@ -254,12 +251,6 @@ def _chain_sites(gates) -> np.ndarray:
     return gates[::-1, :, 0::2].reshape(n, 2, 2, 2).transpose(0, 2, 1, 3)
 
 
-def _joint_chain(sites) -> MatrixProductState:
-    """Joint (ancilla, register) chain: the ancilla's site first, started in ``|0>``."""
-    ancilla = np.eye(2, dtype=np.complex128).reshape(2, 1, 2)
-    return MatrixProductState(sites=[ancilla, *sites], phi_initial=_ANCILLA_START)
-
-
 def sequential_generate(schedule: CouplingSchedule, n: int) -> MatrixProductState:
     """Joint (ancilla, register) state after all interaction steps, as a chain.
 
@@ -276,7 +267,8 @@ def sequential_generate(schedule: CouplingSchedule, n: int) -> MatrixProductStat
     if schedule.aux_enabled:
         angles = np.hstack([schedule.aux_ancilla, schedule.aux_qubit])
     gates = _step_gate([(s.h1, s.h2) for s in schedule.steps], aux_angles=angles)
-    return _joint_chain(_chain_sites(gates))
+    ancilla = np.eye(2, dtype=np.complex128).reshape(2, 1, 2)
+    return MatrixProductState(sites=[ancilla, *_chain_sites(gates)], phi_initial=_ANCILLA_START)
 
 
 # --- optimization -------------------------------------------------------------
@@ -299,11 +291,6 @@ class _CostEngine:
         # conj(T^i) stacked for the right pass: rows (i, right bond), columns left bond
         self._right = [t.transpose(0, 2, 1).reshape(-1, t.shape[1]) for t in self._conj]
 
-    def unpack(self, params):
-        """params -> (coupling rows, ancilla-angle rows, qubit-angle rows)."""
-        per_step = params.reshape(self.n, self.block_size)
-        return per_step[:, :2], per_step[:, 2:5], per_step[:, 5:]
-
     def param_count(self):
         return self.n * self.block_size
 
@@ -311,9 +298,6 @@ class _CostEngine:
         """All ``n`` step gates (with their derivatives when ``jac``)."""
         rows = params.reshape(self.n, self.block_size)
         return _step_gate(rows[:, :2], rows[:, 2:] if self.aux else None, jac)
-
-    def generate(self, params) -> MatrixProductState:
-        return _joint_chain(_chain_sites(self.gates(params)))
 
     def right_pass(self, sites):
         """Right environments of the generated ``sites`` and the ancilla vector ``w``.
@@ -329,10 +313,6 @@ class _CostEngine:
             envs[j] = env
             env = (sites[j] @ env).transpose(1, 0, 2).reshape(2, -1) @ self._right[j]
         return envs, env @ self.target.phi_final
-
-    def cost(self, params):
-        _, w = self.right_pass(_chain_sites(self.gates(params)))
-        return 2.0 * (1.0 - float(np.linalg.norm(w)))
 
     def cost_and_grad(self, params):
         """Cost and gradient over all parameters in two passes along the chain.
@@ -371,7 +351,7 @@ def _descend(engine: _CostEngine, params, max_sweeps, sweep_tol, inner_maxfev):
     evaluations binds as both ``maxfun`` and ``maxiter``; ``history`` holds
     the starting cost and the cost after each iteration.
     """
-    history = [engine.cost(params)]
+    history = [engine.cost_and_grad(params)[0]]
 
     def record(intermediate_result):
         history.append(float(intermediate_result.fun))
@@ -464,26 +444,23 @@ def optimize_schedule(
             best = run
 
     _, params, history, converged = best
-    joint = engine.generate(params)
+    rows = params.reshape(n, engine.block_size)
+    schedule = CouplingSchedule(
+        steps=[StepCoupling(float(h1), float(h2)) for h1, h2 in rows[:, :2]],
+        aux_enabled=aux,
+        aux_qubit=rows[:, 5:] if aux else None,
+        aux_ancilla=rows[:, 2:5] if aux else None,
+    )
+    joint = sequential_generate(schedule, n)
     _, w = engine.right_pass(joint.sites[1:])
     f = float(np.linalg.norm(w))
     phi_final = w / f if f > 0 else w
     f = min(f, 1.0)  # rounding can lift an exact preparation just above 1; NaN stays
-
-    coup, aang, qang = engine.unpack(params)
-    schedule = CouplingSchedule(
-        steps=[StepCoupling(float(r[0]), float(r[1])) for r in coup],
-        aux_enabled=aux,
-        aux_qubit=qang if aux else None,
-        aux_ancilla=aang if aux else None,
-    )
     return SynthesisResult(
         generated=joint,
         fidelity=f,
-        cost=2.0 * (1.0 - f),
         optimal_phi_final=phi_final,
         iterations=len(history) - 1,
-        restarts_used=restarts,
         converged=converged,
         schedule=schedule,
         cost_history=history,

@@ -251,6 +251,17 @@ class TestSynthesize:
         assert code == 3
         assert "101 qubits" in err and "limit of 50 clones" in err
 
+    def test_resource_cap_crosses_process_pool(self, tmp_path):
+        # synthesize builds each cloner chain inside its worker
+        out = tmp_path / "x.csv"
+        code, err = run_cli([
+            "synthesize", "--qubits", "3,101", "--restarts", "1", "--max-sweeps", "1",
+            "-o", str(out), "--threads", "2",
+        ])
+        assert code == 3
+        assert "101 qubits" in err and "limit of 50 clones" in err
+        assert not out.exists()
+
     def test_coupling_model_flag_is_gone(self, tmp_path, capsys):
         # the unrestricted baseline is regularize --bond-caps 2 --methods variational
         with pytest.raises(SystemExit) as exc:

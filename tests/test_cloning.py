@@ -18,7 +18,7 @@ from seqclone.cloning import (
 )
 from seqclone.errors import CanonicalFormError, ResourceLimitError
 from seqclone.linalg import RANK_RTOL
-from seqclone.mps import MatrixProductState, from_statevector, to_statevector
+from seqclone.mps import from_statevector, to_statevector
 
 from gm_dense import dense_clone_fidelity, dense_gm_state, symmetric_state
 
@@ -199,9 +199,15 @@ class TestCloneFidelityOracle:
             assert clone_fidelities(chain, qubit) == expected
 
     def test_one_pass_rejects_non_canonical_chain(self):
-        chain = gm_mps(GMSpec(2, KET_PLUS))
+        # the counter chain holds the right state in a non-isometric gauge
         with pytest.raises(CanonicalFormError):
-            clone_fidelities(MatrixProductState(sites=chain.sites), KET_PLUS)
+            clone_fidelities(gm_chain(GMSpec(2, KET_PLUS)), KET_PLUS)
+
+    def test_one_pass_rejects_a_scaled_site(self):
+        chain = gm_mps(GMSpec(3, KET_PLUS))
+        chain.sites[1] = chain.sites[1] * 2.0
+        with pytest.raises(CanonicalFormError, match=r"defect 3\.0e\+00 > 1e-10"):
+            clone_fidelities(chain, KET_PLUS)
 
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):

@@ -262,10 +262,20 @@ class TestVariationalCompress:
         gauged = clean.copy()
         gauged.sites[1] = gauged.sites[1] * 3.0
         gauged.sites[2] = gauged.sites[2] / 3.0
-        gauged.canonical = False
         _, rep_clean = compress(clean, 2, METHOD_VARIATIONAL_SEEDED)
         _, rep_gauged = compress(gauged, 2, METHOD_VARIATIONAL_SEEDED)
         assert abs(rep_clean.error - rep_gauged.error) < 1e-9
+
+    def test_accepts_target_normalized_to_its_tolerance(self):
+        # norm 1 + 8e-11 passes the 1e-10 norm check, but the last site's
+        # Gram defect, 1.6e-10, is above CANONICAL_TOL until recanonicalized
+        rng = np.random.default_rng(20)
+        v = random_state(rng, 4)
+        target = from_statevector(v * (1.0 + 8e-11))
+        assert not target.canonical
+        _, rep = compress(target, 2, METHOD_VARIATIONAL_SEEDED)
+        _, rep_exact = compress(from_statevector(v), 2, METHOD_VARIATIONAL_SEEDED)
+        assert abs(rep.error - rep_exact.error) < 1e-9
 
 
 class TestRegularizationScan:

@@ -78,6 +78,31 @@ class TestSvd:
         with pytest.raises(ValueError):
             svd(np.zeros((0, 3)))
 
+    @staticmethod
+    def per_column_phase_fix(a):
+        """Reference: the phase convention applied one column at a time."""
+        u, s, vh = np.linalg.svd(a, full_matrices=False)
+        for j in range(u.shape[1]):
+            mags = np.abs(u[:, j])
+            pivot = np.argmax(mags >= (1.0 - linalg.PIVOT_RTOL) * mags.max())
+            mag = mags[pivot]
+            if mag > 0.0:
+                phase = u[pivot, j] / mag
+                u[:, j] *= np.conj(phase)
+                vh[j, :] *= phase
+        return u, s, vh.conj().T
+
+    def test_matches_per_column_reference_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
+        cases = [random_complex(rng, *shape) for shape in [(8, 16), (16, 8), (5, 5), (1, 4)]]
+        cases += [(h * [4.0, 3.0, 2.0, 1.0]) @ random_unitary(rng, 4) for _ in range(5)]
+        cases += [c + 1e-15 * random_complex(rng, 4, 4) for c in cases[-5:]]
+        for a in cases:
+            got = svd(a)
+            for x, y in zip(got, self.per_column_phase_fix(a)):
+                assert x.tobytes() == y.tobytes()
+
 
 def _qr_cases():
     rng = np.random.default_rng(7)

@@ -1,10 +1,12 @@
 """Tests for the matrix-product-state representation."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqclone.cloning import GMSpec, KET_PLUS, gm_state
+from seqclone.cloning import GMSpec, KET_PLUS, gm_chain, gm_mps, gm_state
 from seqclone.compression import svd_truncate_mps
 from seqclone.errors import CanonicalFormError, StructureError
 from seqclone.mps import (
@@ -18,6 +20,7 @@ from seqclone.mps import (
     to_json,
     to_statevector,
 )
+from seqclone.sequential import optimize_schedule
 
 
 def random_state(rng, n):
@@ -221,7 +224,7 @@ def canonical_chain(draw):
     for k in range(len(sites) - 1):
         shift_centre(sites, k, +1)
     sites[-1] = sites[-1] / np.linalg.norm(sites[-1])
-    return MatrixProductState(sites=sites, canonical=True)
+    return MatrixProductState(sites=sites)
 
 
 class TestProperties:
@@ -297,8 +300,16 @@ class TestExtractIsometries:
         rng = np.random.default_rng(10)
         m = from_statevector(random_state(rng, 4))
         m.sites[1] = m.sites[1] * 2.0
-        with pytest.raises(CanonicalFormError, match="canonical"):
+        with pytest.raises(CanonicalFormError, match=r"defect 3\.0e\+00 > 1e-10"):
             extract_isometries(m)
+
+    def test_synthesized_chain_regenerates(self):
+        # a synthesized joint chain is canonical by construction: its sites
+        # are columns of unitaries
+        gen = optimize_schedule(gm_chain(GMSpec(2)), 3, aux=True, restarts=1, seed=3).generated
+        joint = apply_step_unitaries(extract_isometries(gen), gen.phi_initial, 4, gen.max_bond)
+        assert np.max(np.abs(joint[0] - to_statevector(gen))) <= 1e-12
+        assert np.max(np.abs(joint[1])) <= 1e-12
 
 
 class TestJsonRoundtrip:
@@ -318,6 +329,14 @@ class TestJsonRoundtrip:
         site = np.array([[[complex(1.0, -0.0)]], [[complex(-0.0, -0.0)]]])
         m2 = from_json(to_json(MatrixProductState(sites=[site])))
         assert m2.sites[0].tobytes() == site.tobytes()
+
+    def test_rejects_flag_that_disagrees_with_sites(self):
+        doc = json.loads(to_json(gm_mps(GMSpec(3))))
+        assert doc["canonical"] is True
+        site = doc["sites"][1]
+        site["data"] = [f"{2.0 * float(x):.17g}" for x in site["data"]]
+        with pytest.raises(StructureError, match="canonical"):
+            from_json(json.dumps(doc))
 
     def test_rejects_unknown_schema(self):
         with pytest.raises(StructureError, match="schema"):
