@@ -33,7 +33,6 @@ from .errors import (
 from .linalg import (
     SVDResult,
     complete_to_unitary,
-    hermitian_expm,
     svd,
     truncate_rank,
 )

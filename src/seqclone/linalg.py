@@ -135,25 +135,6 @@ def truncate_rank(a: np.ndarray, k: int) -> np.ndarray:
     return (u[:, :k] * s[:k]) @ v[:, :k].conj().T
 
 
-def hermitian_expm(h: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """Unitary ``exp(-1j * scale * h)`` of a Hermitian generator.
-
-    Computed by eigendecomposition, so the result is unitary to machine
-    precision even for large ``scale``.
-
-    Raises:
-        ValueError: ``h`` is not square or not Hermitian within 1e-12.
-    """
-    h = _as_matrix(h, "h")
-    if h.shape[0] != h.shape[1]:
-        raise ValueError(f"generator must be square, got shape {h.shape}")
-    asym = float(np.max(np.abs(h - h.conj().T)))
-    if asym > 1e-12:
-        raise ValueError(f"generator is not Hermitian: max asymmetry {asym:.3e}")
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * scale * w)) @ v.conj().T
-
-
 def complete_to_unitary(iso: np.ndarray) -> np.ndarray:
     """Extend a matrix with orthonormal columns to a square unitary.
 

@@ -27,6 +27,8 @@ optimized by one L-BFGS-B run on all parameters per random restart, on the
 exact gradient from two transfer passes, so a cost-and-gradient evaluation
 costs ``O(n D^2)`` for a target of bond ``D`` (see :class:`_CostEngine`).
 The step gates and their derivatives are built for all steps in one batch.
+``scipy.optimize`` is imported on the first L-BFGS-B run, not with the
+module: compression and ``import seqclone`` never need it.
 
 Layout conventions follow :mod:`seqclone.mps`: the register reads
 ``i_n ... i_1``, most significant first, and step ``k`` emits qubit ``k``,
@@ -41,7 +43,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import check_fidelity
 from .mps import MatrixProductState, from_statevector, norm as mps_norm
@@ -343,13 +344,28 @@ class _CostEngine:
         return 2.0 * (1.0 - f), (-2.0 / f) * grad.reshape(-1)
 
 
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call.
+
+    Only synthesis optimizes, so ``import seqclone`` and the compression
+    paths never load ``scipy.optimize``.  The name stays a module attribute,
+    so tests and tracers that patch ``sequential.minimize`` still see every
+    call.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
+
 def _descend(engine: _CostEngine, params, max_sweeps, sweep_tol, inner_maxfev):
     """One L-BFGS-B run on all parameters; returns (params, history, converged).
 
     ``converged`` is False when the run spent its budget or never left its
     start.  The budget ``2 n max_sweeps inner_maxfev`` of cost-and-gradient
     evaluations binds as both ``maxfun`` and ``maxiter``; ``history`` holds
-    the starting cost and the cost after each iteration.
+    the starting cost and the cost after each iteration.  The run goes
+    through the module's :func:`minimize`, so the first run in a process
+    imports ``scipy.optimize``.
     """
     history = [engine.cost_and_grad(params)[0]]
 

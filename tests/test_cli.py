@@ -426,3 +426,40 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "alpha" in proc.stdout
+
+
+# Runs in a fresh interpreter, so nothing the test session imported counts.
+_IMPORT_PROBE = """
+import json, sys
+import seqclone
+from seqclone import cli
+from seqclone.cloning import GMSpec, gm_chain
+
+out = sys.argv[1]
+codes = [
+    cli.main(["gm-info", "--clones", "3", "--threads", "1", "-o", out + "/info.csv"]),
+    cli.main(["regularize", "--clones", "3", "--bond-caps", "2",
+              "--methods", "svd,variational", "--threads", "1", "-o", out + "/scan.csv"]),
+]
+before = "scipy.optimize" in sys.modules
+res = seqclone.optimize_schedule(
+    gm_chain(GMSpec(2)), 3, aux=True, restarts=1, seed=1, max_sweeps=1, inner_maxfev=20
+)
+print(json.dumps({"codes": codes, "before": before,
+                  "after": "scipy.optimize" in sys.modules, "fidelity": res.fidelity}))
+"""
+
+
+def test_scipy_optimize_loads_only_for_synthesis(tmp_path):
+    src = os.path.dirname(os.path.dirname(seqclone.__file__))
+    blas = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, **blas, "PYTHONPATH": src},
+    )
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    assert probe["codes"] == [0, 0]
+    assert not probe["before"], "import seqclone, gm-info or regularize loaded scipy.optimize"
+    assert probe["after"]
+    assert 0.0 < probe["fidelity"] <= 1.0

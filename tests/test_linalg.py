@@ -7,7 +7,6 @@ from seqclone import linalg
 from seqclone.errors import NumericalFailure
 from seqclone.linalg import (
     complete_to_unitary,
-    hermitian_expm,
     qr,
     qr_q,
     svd,
@@ -197,33 +196,6 @@ class TestTruncateRank:
         cands = np.einsum("sik,skj->sij", u, v)
         errs = np.linalg.norm(cands - a, axis=(1, 2))
         assert np.all(best <= errs + 1e-12)
-
-
-class TestHermitianExpm:
-    def test_zero_generator(self):
-        assert np.allclose(hermitian_expm(np.zeros((3, 3)), 1.0), np.eye(3))
-
-    def test_pauli_x_quarter_turn(self):
-        sx = np.array([[0, 1], [1, 0]], dtype=complex)
-        assert np.allclose(hermitian_expm(sx, np.pi / 2), -1j * sx, atol=1e-12)
-
-    def test_unitarity(self):
-        rng = np.random.default_rng(6)
-        a = random_complex(rng, 4, 4)
-        h = a + a.conj().T
-        u = hermitian_expm(h, 0.37)
-        assert np.allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
-
-    def test_semigroup(self):
-        rng = np.random.default_rng(7)
-        a = random_complex(rng, 3, 3)
-        h = a + a.conj().T
-        lhs = hermitian_expm(h, 0.4) @ hermitian_expm(h, 1.1)
-        assert np.allclose(lhs, hermitian_expm(h, 1.5), atol=1e-10)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="asymmetry"):
-            hermitian_expm(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
 
 class TestCompleteToUnitary:

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from seqclone import sequential
 from seqclone.cloning import GMSpec, KET_PLUS, gm_chain, gm_mps, gm_state
 from seqclone.compression import METHOD_VARIATIONAL_SEEDED, compress
-from seqclone.linalg import hermitian_expm
 from seqclone.mps import MatrixProductState, from_statevector, norm, to_statevector
 from seqclone.sequential import (
     CouplingSchedule,
@@ -26,12 +25,50 @@ from seqclone.sequential import (
     _chain_sites,
     _step_gate,
 )
+from test_linalg import random_complex
 from test_mps import ragged_sites
 
 
 def random_state(rng, n):
     v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     return v / np.linalg.norm(v)
+
+
+def hermitian_expm(h, scale=1.0):
+    """Oracle ``exp(-1j * scale * h)`` of a Hermitian generator, by eigendecomposition."""
+    h = np.asarray(h, dtype=np.complex128)
+    asym = float(np.max(np.abs(h - h.conj().T)))
+    if asym > 1e-12:
+        raise ValueError(f"generator is not Hermitian: max asymmetry {asym:.3e}")
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * scale * w)) @ v.conj().T
+
+
+class TestHermitianExpm:
+    def test_zero_generator(self):
+        assert np.allclose(hermitian_expm(np.zeros((3, 3)), 1.0), np.eye(3))
+
+    def test_pauli_x_quarter_turn(self):
+        sx = np.array([[0, 1], [1, 0]], dtype=complex)
+        assert np.allclose(hermitian_expm(sx, np.pi / 2), -1j * sx, atol=1e-12)
+
+    def test_unitarity(self):
+        rng = np.random.default_rng(6)
+        a = random_complex(rng, 4, 4)
+        h = a + a.conj().T
+        u = hermitian_expm(h, 0.37)
+        assert np.allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
+
+    def test_semigroup(self):
+        rng = np.random.default_rng(7)
+        a = random_complex(rng, 3, 3)
+        h = a + a.conj().T
+        lhs = hermitian_expm(h, 0.4) @ hermitian_expm(h, 1.1)
+        assert np.allclose(lhs, hermitian_expm(h, 1.5), atol=1e-10)
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="asymmetry"):
+            hermitian_expm(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
 
 class TestHamiltonians:
