@@ -63,18 +63,6 @@ def fidelity(a: MatrixProductState, b: MatrixProductState) -> float:
     return min(abs(mps_mod.overlap(a, b)), 1.0)
 
 
-def _absorb_boundaries(m: MatrixProductState) -> MatrixProductState:
-    """Fold nontrivial boundary vectors into the edge site tensors."""
-    out = m.copy()
-    if out.phi_final.shape[0] != 1 or not np.allclose(out.phi_final, [1.0]):
-        out.sites[0] = np.einsum("l,ilr->ir", out.phi_final.conj(), out.sites[0])[:, None, :]
-        out.phi_final = np.ones(1, dtype=np.complex128)
-    if out.phi_initial.shape[0] != 1 or not np.allclose(out.phi_initial, [1.0]):
-        out.sites[-1] = np.einsum("ilr,r->il", out.sites[-1], out.phi_initial)[:, :, None]
-        out.phi_initial = np.ones(1, dtype=np.complex128)
-    return out
-
-
 def svd_truncate_mps(
     target: MatrixProductState, bond_cap: int
 ) -> tuple[MatrixProductState, FidelityReport]:
@@ -101,8 +89,7 @@ def svd_truncate_mps(
         )
         return target.copy(), report
 
-    work = _absorb_boundaries(target)
-    sites = work.sites
+    sites = target.copy().sites
     n = len(sites)
     for j in range(n - 1, 0, -1):
         two, left, right = sites[j].shape
@@ -142,10 +129,10 @@ def _random_trial(n: int, bond_cap: int, rng: np.random.Generator) -> MatrixProd
 class _SweepWorkspace:
     """Mixed-canonical single-site sweeps of a trial chain against a target.
 
-    Both chains have trivial boundaries and the target is normalized.  The
-    trial enters right-canonical (sites ``1..n-1`` right-orthonormal) and the
-    orthogonality centre travels with the update, so every site left of the
-    centre is left-orthonormal and every site right of it right-orthonormal.
+    The target is normalized.  The trial enters right-canonical (sites
+    ``1..n-1`` right-orthonormal) and the orthogonality centre travels with
+    the update, so every site left of the centre is left-orthonormal and
+    every site right of it right-orthonormal.
     ``lmix[k]``/``rmix[k]`` pair the conjugated trial chain left/right of
     site ``k`` with the target chain.  With orthonormal environments the
     local least-squares problem is solved by the projection
@@ -232,7 +219,7 @@ def variational_compress(
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     if method == METHOD_SVD:
         raise ValueError("use svd_truncate_mps for the pure truncation method")
-    target = _absorb_boundaries(target)
+    target = target.copy()
     nrm = mps_mod.norm(target)
     if not 0.0 < nrm < np.inf:  # also rejects NaN
         raise ValueError(f"target norm must be positive and finite, got {nrm!r}")

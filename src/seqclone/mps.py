@@ -1,18 +1,17 @@
 """Matrix-product (tensor-train) representation of dense qubit states.
 
-A state is stored as a chain of site tensors plus two boundary vectors::
+A state is stored as a chain of site tensors whose edge bonds are 1::
 
-    amplitude(i_n, ..., i_1) = conj(phi_final) . V[0]^{i_n} ... V[n-1]^{i_1} . phi_initial
+    amplitude(i_n, ..., i_1) = V[0]^{i_n} ... V[n-1]^{i_1}    (a 1 x 1 matrix)
 
 ``sites[0]`` carries the leftmost (most significant) ket label and the
 decomposition peels that index first, so the chain is left-orthonormal
 (canonical) when produced by :func:`from_statevector`.  Canonical form is
 measured, never stored: :attr:`MatrixProductState.canonical` holds when
-every site is an isometry to :data:`CANONICAL_TOL`.  ``phi_final``
-contracts the left edge as a bra, ``phi_initial`` the right edge as a ket;
-sequential generation emits qubits starting from the *last* stored site
-(the least significant one), consuming ``phi_initial`` as the initial
-ancilla state.
+every site is an isometry to :data:`CANONICAL_TOL`.  Sequential
+generation emits qubits starting from the *last* stored site (the least
+significant one), whose right bond of 1 stands for the ancilla's start
+state ``|0>``.
 
 Site tensors have shape ``(2, left_bond, right_bond)``.
 """
@@ -20,7 +19,7 @@ Site tensors have shape ``(2, left_bond, right_bond)``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,24 +45,19 @@ class MatrixProductState:
 
     Attributes:
         sites: site tensors, shape ``(2, D_left, D_right)`` each, ordered from
-            the most significant qubit to the least significant one.
-        phi_initial: ket boundary on the right edge (length = last right bond).
-        phi_final: bra boundary on the left edge (length = first left bond).
+            the most significant qubit to the least significant one; the
+            first left bond and the last right bond are 1.
 
     Whether the chain is canonical is a property of its sites, so it is
     read off them (:attr:`canonical`) and cannot be set.
     """
 
     sites: list[np.ndarray]
-    phi_initial: np.ndarray = field(default_factory=lambda: np.ones(1, dtype=np.complex128))
-    phi_final: np.ndarray = field(default_factory=lambda: np.ones(1, dtype=np.complex128))
 
     def __post_init__(self):
         if not self.sites:
             raise StructureError("an MPS needs at least one site")
         self.sites = [np.asarray(t, dtype=np.complex128) for t in self.sites]
-        self.phi_initial = np.asarray(self.phi_initial, dtype=np.complex128).reshape(-1)
-        self.phi_final = np.asarray(self.phi_final, dtype=np.complex128).reshape(-1)
         for k, t in enumerate(self.sites):
             if t.ndim != 3 or t.shape[0] != 2:
                 raise StructureError(
@@ -75,10 +69,9 @@ class MatrixProductState:
                     f"bond mismatch between sites {k} and {k + 1}: "
                     f"{self.sites[k].shape[2]} vs {self.sites[k + 1].shape[1]}"
                 )
-        if self.phi_final.shape[0] != self.sites[0].shape[1]:
-            raise StructureError("phi_final length does not match the first left bond")
-        if self.phi_initial.shape[0] != self.sites[-1].shape[2]:
-            raise StructureError("phi_initial length does not match the last right bond")
+        edges = (self.sites[0].shape[1], self.sites[-1].shape[2])
+        if edges != (1, 1):
+            raise StructureError(f"edge bonds must be 1, got {edges[0]} and {edges[1]}")
 
     @property
     def n_qubits(self) -> int:
@@ -86,7 +79,7 @@ class MatrixProductState:
 
     @property
     def bond_dimensions(self) -> list[int]:
-        """All ``n + 1`` bond dimensions including the boundary ones."""
+        """All ``n + 1`` bond dimensions, including the edge bonds of 1."""
         return [self.sites[0].shape[1]] + [t.shape[2] for t in self.sites]
 
     @property
@@ -118,11 +111,7 @@ class MatrixProductState:
             )
 
     def copy(self) -> "MatrixProductState":
-        return MatrixProductState(
-            sites=[t.copy() for t in self.sites],
-            phi_initial=self.phi_initial.copy(),
-            phi_final=self.phi_final.copy(),
-        )
+        return MatrixProductState(sites=[t.copy() for t in self.sites])
 
 
 def shift_centre(sites: list[np.ndarray], k: int, step: int) -> None:
@@ -182,10 +171,10 @@ def from_statevector(v: np.ndarray, rank_tol: float = 0.0) -> MatrixProductState
 
 def to_statevector(m: MatrixProductState) -> np.ndarray:
     """Dense amplitudes of an MPS, most significant qubit first."""
-    cur = m.phi_final.conj().reshape(1, -1)
+    cur = np.ones((1, 1), dtype=np.complex128)
     for t in m.sites:
         cur = np.einsum("kl,ilr->kir", cur, t).reshape(-1, t.shape[2])
-    return cur @ m.phi_initial
+    return cur[:, 0]
 
 
 def overlap(a: MatrixProductState, b: MatrixProductState) -> complex:
@@ -198,10 +187,10 @@ def overlap(a: MatrixProductState, b: MatrixProductState) -> complex:
         raise StructureError(
             f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}"
         )
-    env = np.outer(a.phi_final, b.phi_final.conj())
+    env = np.ones((1, 1), dtype=np.complex128)
     for ta, tb in zip(a.sites, b.sites):
         env = sum(ta[i].conj().T @ env @ tb[i] for i in range(2))
-    return complex(a.phi_initial.conj() @ env @ b.phi_initial)
+    return complex(env[0, 0])
 
 
 def norm(m: MatrixProductState) -> float:
@@ -220,8 +209,8 @@ def extract_isometries(m: MatrixProductState) -> list[np.ndarray]:
 
     The list is ordered by application: the first entry generates the least
     significant qubit (the last stored site).  Applying all steps to
-    ``phi_initial (x) |0...0>`` reproduces the dense state with the ancilla
-    decoupled, up to the scalar boundary phase.
+    ``|0> (x) |0...0>`` leaves the register in the dense state and the
+    ancilla decoupled in ``|0>``.
     """
     m.require_canonical("sequential extraction")
     dim = m.max_bond
@@ -229,14 +218,13 @@ def extract_isometries(m: MatrixProductState) -> list[np.ndarray]:
     for t in reversed(m.sites):
         left, right = t.shape[1], t.shape[2]
         stacked = np.zeros((2 * dim, right), dtype=np.complex128)
-        for i in range(2):
-            for a_out in range(left):
-                stacked[2 * a_out + i, :] = t[i, a_out, :]
+        stacked[: 2 * left] = t.transpose(1, 0, 2).reshape(2 * left, right)
         full = linalg.complete_to_unitary(stacked)
+        inputs = np.zeros(2 * dim, dtype=bool)
+        inputs[: 2 * right : 2] = True
         step = np.zeros((2 * dim, 2 * dim), dtype=np.complex128)
-        step[:, [2 * a for a in range(right)]] = full[:, :right]
-        free_cols = [c for c in range(2 * dim) if not (c % 2 == 0 and c // 2 < right)]
-        step[:, free_cols] = full[:, right:]
+        step[:, inputs] = full[:, :right]
+        step[:, ~inputs] = full[:, right:]
         unitaries.append(step)
     return unitaries
 
@@ -245,7 +233,8 @@ def extract_isometries(m: MatrixProductState) -> list[np.ndarray]:
 #
 # Complex arrays are flattened in row-major order into alternating
 # real/imaginary float64 components, each re-encoded as a decimal string that
-# round-trips the double exactly.
+# round-trips the double exactly.  The edge vectors "phi_final" (a bra on the
+# left edge) and "phi_initial" (a ket on the right edge) are written as [1].
 
 
 def _encode_array(a: np.ndarray) -> dict:
@@ -256,9 +245,12 @@ def _encode_array(a: np.ndarray) -> dict:
     return {"shape": list(a.shape), "data": [f"{x:.17g}" for x in parts]}
 
 
-def _decode_array(doc: dict) -> np.ndarray:
-    parts = np.array([float(x) for x in doc["data"]], dtype=np.float64)
-    return parts.view(np.complex128).reshape(doc["shape"])
+def _decode_array(doc: dict, name: str) -> np.ndarray:
+    try:
+        parts = np.array([float(x) for x in doc["data"]], dtype=np.float64)
+        return parts.view(np.complex128).reshape(doc["shape"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StructureError(f"{name} is not an encoded complex array: {exc!r}") from None
 
 
 def to_json(m: MatrixProductState) -> str:
@@ -269,23 +261,41 @@ def to_json(m: MatrixProductState) -> str:
         "qubits": m.n_qubits,
         "canonical": m.canonical,
         "sites": [_encode_array(t) for t in m.sites],
-        "phi_initial": _encode_array(m.phi_initial),
-        "phi_final": _encode_array(m.phi_final),
+        "phi_initial": _encode_array(np.ones(1)),
+        "phi_final": _encode_array(np.ones(1)),
     }
     return json.dumps(doc, indent=1)
 
 
 def from_json(text: str) -> MatrixProductState:
     """Inverse of :func:`to_json`; validates the schema tag, the qubit count
-    and the ``"canonical"`` flag against the decoded sites."""
+    and the ``"canonical"`` flag against the decoded sites, and raises
+    :class:`StructureError` on a malformed document.
+
+    An edge vector other than ``[1]`` is folded into its edge site, so
+    documents with boundary vectors, such as a synthesized joint chain
+    with ``phi_initial = |0>``, load as the same amplitudes.
+    """
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise StructureError(f"an MPS document is a JSON object, not {type(doc).__name__}")
     if doc.get("schema") != "seqclone.mps/1":
         raise StructureError(f"unsupported MPS document schema: {doc.get('schema')!r}")
-    mps = MatrixProductState(
-        sites=[_decode_array(t) for t in doc["sites"]],
-        phi_initial=_decode_array(doc["phi_initial"]),
-        phi_final=_decode_array(doc["phi_final"]),
-    )
+    for key in ("qubits", "canonical", "sites", "phi_initial", "phi_final"):
+        if key not in doc:
+            raise StructureError(f"MPS document has no {key!r}")
+    if not isinstance(doc["sites"], list):
+        raise StructureError("'sites' of an MPS document is not a list")
+    sites = [_decode_array(t, f"sites[{k}]") for k, t in enumerate(doc["sites"])]
+    bra, ket = (_decode_array(doc[key], key).reshape(-1) for key in ("phi_final", "phi_initial"))
+    try:
+        if not np.array_equal(bra, [1]):
+            sites[0] = np.einsum("l,ilr->ir", bra.conj(), sites[0])[:, None, :]
+        if not np.array_equal(ket, [1]):
+            sites[-1] = np.einsum("ilr,r->il", sites[-1], ket)[:, :, None]
+    except (IndexError, ValueError) as exc:
+        raise StructureError(f"edge vectors do not fit the edge sites: {exc}") from None
+    mps = MatrixProductState(sites=sites)
     if mps.n_qubits != doc["qubits"]:
         raise StructureError("qubit count in document does not match site list")
     if mps.canonical != doc["canonical"]:

@@ -258,7 +258,8 @@ def sequential_generate(schedule: CouplingSchedule, n: int) -> MatrixProductStat
     Starts from ``|0> (x) |0...0>``; step ``k`` entangles the ancilla with
     qubit ``k`` (local aux rotations first, when enabled).  The chain has
     ``n + 1`` sites of bond 2, the ancilla's first, so ``to_statevector``
-    gives the ancilla-first joint vector.
+    gives the ancilla-first joint vector; the start ``|0>`` is folded into
+    the last site, the first step's.
     """
     if len(schedule.steps) != n:
         raise ValueError(
@@ -268,8 +269,10 @@ def sequential_generate(schedule: CouplingSchedule, n: int) -> MatrixProductStat
     if schedule.aux_enabled:
         angles = np.hstack([schedule.aux_ancilla, schedule.aux_qubit])
     gates = _step_gate([(s.h1, s.h2) for s in schedule.steps], aux_angles=angles)
+    sites = list(_chain_sites(gates))
+    sites[-1] = sites[-1] @ _ANCILLA_START[:, None]
     ancilla = np.eye(2, dtype=np.complex128).reshape(2, 1, 2)
-    return MatrixProductState(sites=[ancilla, *_chain_sites(gates)], phi_initial=_ANCILLA_START)
+    return MatrixProductState(sites=[ancilla, *sites])
 
 
 # --- optimization -------------------------------------------------------------
@@ -284,7 +287,6 @@ class _CostEngine:
     """
 
     def __init__(self, target: MatrixProductState, aux):
-        self.target = target
         self.n = target.n_qubits
         self.aux = aux
         self.block_size = 8 if aux else 2
@@ -304,22 +306,22 @@ class _CostEngine:
         """Right environments of the generated ``sites`` and the ancilla vector ``w``.
 
         ``w_a = sum_q joint[a, q] conj(target[q])``.  Contracting from the
-        right, ``R = |0> phi_initial^H`` becomes ``sum_i A^i R T^i{dagger}``
-        site by site, and ``w = R phi_final``; ``envs[j]`` is ``R`` right of
-        site ``j``.
+        right, the ``2 x 1`` column ``R = |0>`` becomes
+        ``sum_i A^i R T^i{dagger}`` site by site, ending ``2 x 1`` on the
+        target's left edge as ``w``; ``envs[j]`` is ``R`` right of site ``j``.
         """
-        env = np.outer(_ANCILLA_START, self.target.phi_initial.conj())
+        env = _ANCILLA_START[:, None]
         envs = [None] * self.n
         for j in range(self.n - 1, -1, -1):
             envs[j] = env
             env = (sites[j] @ env).transpose(1, 0, 2).reshape(2, -1) @ self._right[j]
-        return envs, env @ self.target.phi_final
+        return envs, env[:, 0]
 
     def cost_and_grad(self, params):
         """Cost and gradient over all parameters in two passes along the chain.
 
         The right pass gives ``w`` and the environments ``R_j``.  A left pass
-        seeded with ``E = conj(w) phi_final^T`` carries
+        seeded with the ``2 x 1`` column ``E = conj(w)`` carries
         ``E -> sum_i A^i{T} E conj(T^i)`` and meets each ``R_j`` in the
         weights ``pull_j^i = E conj(T^i) R_j^T``, so ``w^H dw = <pull_j, dA_j>``
         with ``dA_j`` the columns ``|a_in, 0>`` of ``dU``.  Then
@@ -333,7 +335,7 @@ class _CostEngine:
         if f == 0.0:
             return 2.0, np.zeros(self.param_count())
         pulls = np.empty((n, 2, 2, 2), dtype=np.complex128)
-        env = np.outer(w.conj(), self.target.phi_final)
+        env = w.conj()[:, None]
         for j in range(n):
             z = env @ self._conj[j]
             pulls[j] = z @ envs[j].T
@@ -467,15 +469,14 @@ def optimize_schedule(
         aux_qubit=rows[:, 5:] if aux else None,
         aux_ancilla=rows[:, 2:5] if aux else None,
     )
-    joint = sequential_generate(schedule, n)
-    _, w = engine.right_pass(joint.sites[1:])
+    _, w = engine.right_pass(_chain_sites(engine.gates(params)))
     f = float(np.linalg.norm(w))
-    phi_final = w / f if f > 0 else w
+    final_ancilla = w / f if f > 0 else w
     f = min(f, 1.0)  # rounding can lift an exact preparation just above 1; NaN stays
     return SynthesisResult(
-        generated=joint,
+        generated=sequential_generate(schedule, n),
         fidelity=f,
-        optimal_phi_final=phi_final,
+        optimal_phi_final=final_ancilla,
         iterations=len(history) - 1,
         converged=converged,
         schedule=schedule,

@@ -302,7 +302,7 @@ def test_acceptance_10_sequential_isometries():
     target = gm_state(GMSpec(2, KET_PLUS))
     chain = from_statevector(target, 1e-10)
     unitaries = extract_isometries(chain)
-    joint = apply_step_unitaries(unitaries, chain.phi_initial, 3, chain.max_bond)
+    joint = apply_step_unitaries(unitaries, 3, chain.max_bond)
     overlap_vec = joint @ target.conj()
     fidelity = float(np.linalg.norm(overlap_vec))
     schmidt = np.linalg.svd(joint, compute_uv=False)

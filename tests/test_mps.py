@@ -11,6 +11,7 @@ from seqclone.compression import svd_truncate_mps
 from seqclone.errors import CanonicalFormError, StructureError
 from seqclone.mps import (
     MatrixProductState,
+    _encode_array,
     extract_isometries,
     from_json,
     from_statevector,
@@ -28,14 +29,14 @@ def random_state(rng, n):
     return v / np.linalg.norm(v)
 
 
-def apply_step_unitaries(unitaries, phi_initial, n, dim):
-    """Oracle: run the extracted step unitaries on ``phi (x) |0...0>``.
+def apply_step_unitaries(unitaries, n, dim):
+    """Oracle: run the extracted step unitaries on ``|0> (x) |0...0>``.
 
     Step ``k`` (1-based, first list entry) acts on the ancilla and qubit
     ``k`` (bit ``k - 1``); returns the joint ``(dim, 2**n)`` array.
     """
     joint = np.zeros((dim, 2**n), dtype=np.complex128)
-    joint[: phi_initial.shape[0], 0] = phi_initial
+    joint[0, 0] = 1.0
     for k, u in enumerate(unitaries, start=1):
         hi, lo = 2 ** (n - k), 2 ** (k - 1)
         t = joint.reshape(dim, hi, 2, lo)
@@ -104,15 +105,6 @@ class TestToStatevector:
         plus = np.array([[[1.0]], [[1.0]]], dtype=complex) / np.sqrt(2)
         m = MatrixProductState(sites=[plus, plus.copy()])
         assert np.allclose(to_statevector(m), np.full(4, 0.5))
-
-    def test_boundary_vectors_enter_contraction(self):
-        rng = np.random.default_rng(3)
-        site = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
-        phi_i = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        phi_f = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        m = MatrixProductState(sites=[site], phi_initial=phi_i, phi_final=phi_f)
-        expected = [phi_f.conj() @ site[i] @ phi_i for i in range(2)]
-        assert np.allclose(to_statevector(m), expected)
 
 
 class TestOverlap:
@@ -234,8 +226,7 @@ class TestProperties:
         m = MatrixProductState(sites=sites)
         m2 = from_json(to_json(m))
         assert m2.canonical == m.canonical
-        for a, b in zip(m.sites + [m.phi_initial, m.phi_final],
-                        m2.sites + [m2.phi_initial, m2.phi_final]):
+        for a, b in zip(m.sites, m2.sites):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     @settings(max_examples=200, deadline=None)
@@ -260,7 +251,7 @@ class TestExtractIsometries:
         m = from_statevector(v)
         unitaries = extract_isometries(m)
         assert all(u.shape == (2, 2) for u in unitaries)
-        joint = apply_step_unitaries(unitaries, m.phi_initial, 3, 1)
+        joint = apply_step_unitaries(unitaries, 3, 1)
         fid = abs(np.vdot(np.kron([1.0], v), joint.reshape(-1)))
         assert fid > 1 - 1e-10
 
@@ -268,7 +259,7 @@ class TestExtractIsometries:
         bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
         m = from_statevector(bell)
         unitaries = extract_isometries(m)
-        joint = apply_step_unitaries(unitaries, m.phi_initial, 2, m.max_bond)
+        joint = apply_step_unitaries(unitaries, 2, m.max_bond)
         w = joint @ bell.conj()
         assert np.linalg.norm(w) > 1 - 1e-10
         # decoupled: a single nonzero Schmidt value across ancilla | register
@@ -283,7 +274,7 @@ class TestExtractIsometries:
         for u in unitaries:
             assert u.shape == (2 * dim, 2 * dim)
             assert np.allclose(u.conj().T @ u, np.eye(2 * dim), atol=1e-12)
-        joint = apply_step_unitaries(unitaries, m.phi_initial, 3, dim)
+        joint = apply_step_unitaries(unitaries, 3, dim)
         w = joint @ target.conj()
         assert np.linalg.norm(w) > 1 - 1e-10
 
@@ -291,9 +282,7 @@ class TestExtractIsometries:
         rng = np.random.default_rng(9)
         v = random_state(rng, 5)
         m = from_statevector(v)
-        joint = apply_step_unitaries(
-            extract_isometries(m), m.phi_initial, 5, m.max_bond
-        )
+        joint = apply_step_unitaries(extract_isometries(m), 5, m.max_bond)
         assert np.linalg.norm(joint @ v.conj()) > 1 - 1e-10
 
     def test_rejects_non_canonical(self):
@@ -307,7 +296,7 @@ class TestExtractIsometries:
         # a synthesized joint chain is canonical by construction: its sites
         # are columns of unitaries
         gen = optimize_schedule(gm_chain(GMSpec(2)), 3, aux=True, restarts=1, seed=3).generated
-        joint = apply_step_unitaries(extract_isometries(gen), gen.phi_initial, 4, gen.max_bond)
+        joint = apply_step_unitaries(extract_isometries(gen), 4, gen.max_bond)
         assert np.max(np.abs(joint[0] - to_statevector(gen))) <= 1e-12
         assert np.max(np.abs(joint[1])) <= 1e-12
 
@@ -316,13 +305,14 @@ class TestJsonRoundtrip:
     def test_exact_roundtrip(self):
         rng = np.random.default_rng(11)
         m = from_statevector(random_state(rng, 5), 1e-12)
-        m2 = from_json(to_json(m))
+        text = to_json(m)
+        doc = json.loads(text)
+        assert doc["phi_initial"] == doc["phi_final"] == {"shape": [1], "data": ["1", "0"]}
+        m2 = from_json(text)
         assert m2.n_qubits == m.n_qubits
         assert m2.canonical == m.canonical
         for a, b in zip(m.sites, m2.sites):
             assert np.array_equal(a, b)
-        assert np.array_equal(m.phi_initial, m2.phi_initial)
-        assert np.array_equal(m.phi_final, m2.phi_final)
 
     def test_signed_zeros_survive(self):
         # decoding as re + 1j * im would turn an imaginary -0.0 into +0.0
@@ -342,6 +332,34 @@ class TestJsonRoundtrip:
         with pytest.raises(StructureError, match="schema"):
             from_json('{"schema": "something-else"}')
 
+    @pytest.mark.parametrize("edit, name", [
+        (lambda doc: {k: v for k, v in doc.items() if k != "sites"}, "'sites'"),
+        (lambda doc: {**doc, "sites": 5}, "'sites'"),
+        (lambda doc: {**doc, "sites": [{"shape": [2, 1, 2], "data": ["1", "0"]}]}, r"sites\[0\]"),
+        (lambda doc: {**doc, "phi_final": {"shape": [2], "data": ["1", "0"]}}, "phi_final"),
+        (lambda doc: [doc], "JSON object"),
+    ], ids=["no-sites", "sites-not-a-list", "short-site", "short-edge-vector", "top-level-array"])
+    def test_malformed_document_raises_structure_error(self, edit, name):
+        doc = json.loads(to_json(gm_mps(GMSpec(2))))
+        with pytest.raises(StructureError, match=name):
+            from_json(json.dumps(edit(doc)))
+
+    @pytest.mark.parametrize("key", ["phi_final", "phi_initial"])
+    def test_folds_edge_vector_into_edge_site(self, key):
+        # a document may carry an edge vector, such as a synthesized joint
+        # chain saved with its ancilla start |0> as "phi_initial": [1, 0]
+        rng = np.random.default_rng(12)
+        m = from_statevector(random_state(rng, 3))
+        doc = json.loads(to_json(m))
+        k, axis = (0, 1) if key == "phi_final" else (-1, 2)
+        spare = rng.standard_normal(m.sites[k].shape) + 1j * rng.standard_normal(m.sites[k].shape)
+        doc["sites"][k] = _encode_array(np.concatenate([m.sites[k], spare], axis=axis))
+        doc[key] = _encode_array(np.array([1.0, 0.0]))
+        m2 = from_json(json.dumps(doc))
+        assert m2.bond_dimensions == m.bond_dimensions
+        assert np.array_equal(m2.sites[k], m.sites[k])
+        assert np.allclose(to_statevector(m2), to_statevector(m), atol=1e-15)
+
 
 class TestStructureValidation:
     def test_bond_mismatch(self):
@@ -350,7 +368,7 @@ class TestStructureValidation:
         with pytest.raises(StructureError, match="bond"):
             MatrixProductState(sites=[good, bad])
 
-    def test_boundary_mismatch(self):
-        site = np.zeros((2, 1, 2), dtype=complex)
-        with pytest.raises(StructureError, match="phi_initial"):
-            MatrixProductState(sites=[site], phi_initial=np.ones(3))
+    @pytest.mark.parametrize("shapes", [[(2, 2, 1)], [(2, 1, 2), (2, 2, 2)]])
+    def test_edge_bonds_must_be_one(self, shapes):
+        with pytest.raises(StructureError, match="edge bonds must be 1"):
+            MatrixProductState(sites=[np.zeros(shape, dtype=complex) for shape in shapes])

@@ -153,14 +153,15 @@ class TestSequentialGenerate:
 
 @st.composite
 def target_chains(draw):
-    """A normalized chain of 1..7 qubits with random ragged boundary vectors."""
+    """A normalized chain of 1..7 qubits with random ragged edge sites."""
     n = draw(st.integers(1, 7))
     sites = draw(ragged_sites(n + 2))
-    # the two outer sites only lend their random entries to the boundaries
-    chain = MatrixProductState(
-        sites=sites[1:-1], phi_initial=sites[-1][0, :, 0], phi_final=sites[0][1, 0, :]
-    )
-    chain.phi_final = chain.phi_final / norm(chain)
+    # the two outer sites only lend random edge vectors, folded into the edge sites
+    bra, ket, sites = sites[0][1, 0, :], sites[-1][0, :, 0], sites[1:-1]
+    sites[0] = np.einsum("l,ilr->ir", bra.conj(), sites[0])[:, None, :]
+    sites[-1] = np.einsum("ilr,r->il", sites[-1], ket)[:, :, None]
+    chain = MatrixProductState(sites=sites)
+    chain.sites[0] = chain.sites[0] / norm(chain)
     return chain
 
 
