@@ -6,6 +6,8 @@ Conventions fixed here and relied upon everywhere else:
 * singular values are returned in non-increasing order,
 * QR factors are thin (``q`` has ``min(m, n)`` orthonormal columns) and
   come straight from LAPACK's Householder routines, with no phase fix,
+  called through numpy's private ``numpy.linalg.lapack_lite`` (see
+  :func:`qr`), so that only synthesis imports scipy,
 * SVD phases are made deterministic (the first entry of every left singular
   vector whose magnitude is within a relative ``PIVOT_RTOL`` of the largest
   is real and positive),
@@ -18,7 +20,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack
+from numpy.linalg import lapack_lite
 
 from .errors import NumericalFailure
 
@@ -84,17 +86,24 @@ def svd(a: np.ndarray) -> SVDResult:
     return SVDResult(left=u, singulars=s, right=vh.conj().T)
 
 
-def _householder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Thin ``q`` and LAPACK's packed factor, whose upper triangle is ``r``."""
+def _householder(a: np.ndarray, with_r: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Thin ``q`` of ``a``, and ``r`` if asked, by ``zgeqrf`` then ``zungqr``."""
     a = _as_matrix(a)
-    packed, tau, _, info = lapack.zgeqrf(a)
+    m, n = a.shape
+    k = min(m, n)
+    # lapack_lite reads its C-contiguous arrays column-major, so this copy is
+    # ``a`` in LAPACK's layout; ``packed.T`` views it as ``m x n`` again
+    packed = a.T.copy()
+    tau = np.empty(k, np.complex128)
+    work = np.empty(3 * n, np.complex128)
+    info = lapack_lite.zgeqrf(m, n, packed, m, tau, work, 3 * n, 0)["info"]
+    # zungqr overwrites the packed factor, whose upper triangle is r
+    r = np.triu(packed.T[:k]) if with_r else None
     if info == 0:
-        q, _, info = lapack.zungqr(packed[:, : tau.shape[0]], tau)
+        info = lapack_lite.zungqr(m, k, k, packed, m, tau, work, 3 * k, 0)["info"]
     if info != 0:
-        raise NumericalFailure(
-            f"QR failed (LAPACK info {info}) for a {a.shape[0]}x{a.shape[1]} matrix"
-        )
-    return q, packed
+        raise NumericalFailure(f"QR failed (LAPACK info {info}) for a {m}x{n} matrix")
+    return (packed.T if k == n else packed.T[:, :k].copy(order="F")), r
 
 
 def qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -102,20 +111,24 @@ def qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     For an ``m x n`` input, ``q`` is ``m x k`` with orthonormal columns and
     ``r`` is ``k x n`` upper triangular, ``k = min(m, n)``.  These are the
-    routines behind ``numpy.linalg.qr(a)``, called without its wrapper's
-    per-call cost.
+    routines behind ``numpy.linalg.qr(a)``, called without its per-call cost
+    through ``numpy.linalg.lapack_lite``.  That module is private but present
+    in numpy (numpy's own API tests list it so); the QR tests fail if a numpy
+    release drops or changes it.  Up to ``k = 128``, LAPACK's unblocked
+    range, the factors are the same bits as ``numpy.linalg.qr``'s.  Above
+    it the block size follows the workspace, here ``3 n`` (``3 k`` for
+    ``zungqr``) as in scipy's LAPACK wrappers, and the bits may differ.
 
     Raises:
         ValueError: empty input.
         NumericalFailure: LAPACK reported an error.
     """
-    q, packed = _householder(a)
-    return q, np.triu(packed[: q.shape[1]])
+    return _householder(a, True)
 
 
 def qr_q(a: np.ndarray) -> np.ndarray:
     """The ``q`` of :func:`qr` alone, for callers that only orthonormalize."""
-    return _householder(a)[0]
+    return _householder(a, False)[0]
 
 
 def truncate_rank(a: np.ndarray, k: int) -> np.ndarray:

@@ -189,7 +189,7 @@ def overlap(a: MatrixProductState, b: MatrixProductState) -> complex:
         )
     env = np.ones((1, 1), dtype=np.complex128)
     for ta, tb in zip(a.sites, b.sites):
-        env = sum(ta[i].conj().T @ env @ tb[i] for i in range(2))
+        env = (ta.conj().transpose(0, 2, 1) @ env @ tb).sum(0)
     return complex(env[0, 0])
 
 

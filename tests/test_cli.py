@@ -442,10 +442,11 @@ codes = [
               "--methods", "svd,variational", "--threads", "1", "-o", out + "/scan.csv"]),
 ]
 before = "scipy.optimize" in sys.modules
+scipy_modules = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 res = seqclone.optimize_schedule(
     gm_chain(GMSpec(2)), 3, aux=True, restarts=1, seed=1, max_sweeps=1, inner_maxfev=20
 )
-print(json.dumps({"codes": codes, "before": before,
+print(json.dumps({"codes": codes, "before": before, "scipy_modules": scipy_modules,
                   "after": "scipy.optimize" in sys.modules, "fidelity": res.fidelity}))
 """
 
@@ -461,5 +462,6 @@ def test_scipy_optimize_loads_only_for_synthesis(tmp_path):
     probe = json.loads(proc.stdout.splitlines()[-1])
     assert probe["codes"] == [0, 0]
     assert not probe["before"], "import seqclone, gm-info or regularize loaded scipy.optimize"
+    assert probe["scipy_modules"] == [], "import seqclone, gm-info or regularize loaded scipy"
     assert probe["after"]
     assert 0.0 < probe["fidelity"] <= 1.0
