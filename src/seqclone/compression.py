@@ -179,8 +179,8 @@ class _SweepWorkspace:
             x = self._project(k + 1)
         for k in range(self.n - 1, 0, -1):
             two, lw, rw = x.shape
-            q = linalg.qr_q(x.transpose(1, 0, 2).reshape(lw, two * rw).conj().T)
-            self.xs[k] = q.conj().T.reshape(-1, two, rw).transpose(1, 0, 2)
+            q = linalg.qr_q(x.transpose(1, 0, 2).reshape(lw, two * rw).T)
+            self.xs[k] = q.T.reshape(-1, two, rw).transpose(1, 0, 2)
             self._extend_rmix(k)
             x = self._project(k - 1)
         self.xs[0] = self.centre = x

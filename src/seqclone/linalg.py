@@ -7,7 +7,7 @@ Conventions fixed here and relied upon everywhere else:
 * QR factors are thin (``q`` has ``min(m, n)`` orthonormal columns) and
   come straight from LAPACK's Householder routines, with no phase fix,
   called through numpy's private ``numpy.linalg.lapack_lite`` (see
-  :func:`qr`), so that only synthesis imports scipy,
+  :func:`qr`), so that the package imports no scipy module,
 * SVD phases are made deterministic (the first entry of every left singular
   vector whose magnitude is within a relative ``PIVOT_RTOL`` of the largest
   is real and positive),

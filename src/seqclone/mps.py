@@ -129,9 +129,10 @@ def shift_centre(sites: list[np.ndarray], k: int, step: int) -> None:
         sites[k] = q.reshape(two, lw, -1)
         sites[k + 1] = r @ sites[k + 1]
     else:
-        q, r = linalg.qr(sites[k].transpose(1, 0, 2).reshape(lw, two * rw).conj().T)
-        sites[k] = q.conj().T.reshape(-1, two, rw).transpose(1, 0, 2)
-        sites[k - 1] = sites[k - 1] @ r.conj().T
+        # LQ of the site matrix as the transposed QR, m = r^T q^T
+        q, r = linalg.qr(sites[k].transpose(1, 0, 2).reshape(lw, two * rw).T)
+        sites[k] = q.T.reshape(-1, two, rw).transpose(1, 0, 2)
+        sites[k - 1] = sites[k - 1] @ r.T
 
 
 def split_site(block: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -150,7 +151,9 @@ def from_statevector(v: np.ndarray, rank_tol: float = 0.0) -> MatrixProductState
     At every bipartition the remainder matrix is decomposed and singular
     values at or below ``rank_tol`` times the largest one are dropped, so the
     bond dimensions equal the numerical ranks of the sequential cuts
-    (``rank_tol = 0`` drops nothing but exact zeros).
+    (``rank_tol = 0`` drops nothing but exact zeros).  A norm within 1e-10
+    of 1 is divided out: the last site carries it, and a canonical chain
+    needs it to be 1.
     """
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
     n = num_qubits(v)
@@ -159,6 +162,8 @@ def from_statevector(v: np.ndarray, rank_tol: float = 0.0) -> MatrixProductState
     norm = np.linalg.norm(v)
     if not abs(norm - 1.0) <= 1e-10:  # also rejects NaN and inf
         raise ValueError(f"statevector must be normalized, got norm {norm!r}")
+    if norm != 1.0:
+        v = v / norm
 
     sites: list[np.ndarray] = []
     remainder = v.reshape(1, -1)

@@ -23,12 +23,12 @@ restricted entangler is measured against.
 The preparation and the target are both chains; no dense vector is built.
 Step ``k`` emits qubit ``k`` through the bond-2 site
 ``A_k^i[a_out, a_in] = U_k[(a_out, i), (a_in, 0)]``.  Couplings are
-optimized by one L-BFGS-B run on all parameters per random restart, on the
-exact gradient from two transfer passes, so a cost-and-gradient evaluation
-costs ``O(n D^2)`` for a target of bond ``D`` (see :class:`_CostEngine`).
-The step gates and their derivatives are built for all steps in one batch.
-``scipy.optimize`` is imported on the first L-BFGS-B run, not with the
-module: compression and ``import seqclone`` never need it.
+optimized by one L-BFGS run (:mod:`seqclone.lbfgs`, the unbounded case of
+L-BFGS-B) on all parameters per random restart, on the exact gradient from
+two transfer passes, so a cost-and-gradient evaluation costs ``O(n D^2)``
+for a target of bond ``D`` (see :class:`_CostEngine`).  The step gates and
+their derivatives are built for all steps in one batch.  Only numpy is
+needed: no part of the package imports scipy.
 
 Layout conventions follow :mod:`seqclone.mps`: the register reads
 ``i_n ... i_1``, most significant first, and step ``k`` emits qubit ``k``,
@@ -45,6 +45,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import check_fidelity
+from .lbfgs import minimize
 from .mps import MatrixProductState, from_statevector, norm as mps_norm
 
 PAULI = (
@@ -346,42 +347,20 @@ class _CostEngine:
         return 2.0 * (1.0 - f), (-2.0 / f) * grad.reshape(-1)
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on the first call.
-
-    Only synthesis optimizes, so ``import seqclone`` and the compression
-    paths never load ``scipy.optimize``.  The name stays a module attribute,
-    so tests and tracers that patch ``sequential.minimize`` still see every
-    call.
-    """
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(*args, **kwargs)
-
-
 def _descend(engine: _CostEngine, params, max_sweeps, sweep_tol, inner_maxfev):
-    """One L-BFGS-B run on all parameters; returns (params, history, converged).
+    """One L-BFGS run on all parameters; returns (params, history, converged).
 
     ``converged`` is False when the run spent its budget or never left its
-    start.  The budget ``2 n max_sweeps inner_maxfev`` of cost-and-gradient
-    evaluations binds as both ``maxfun`` and ``maxiter``; ``history`` holds
-    the starting cost and the cost after each iteration.  The run goes
-    through the module's :func:`minimize`, so the first run in a process
-    imports ``scipy.optimize``.
+    start.  The budget binds the run's cost-and-gradient evaluations:
+    ``maxfun`` is ``2 n max_sweeps inner_maxfev``.  ``history`` holds the
+    starting cost and the cost after each iteration, as the optimizer
+    reports them.  The run goes through the module attribute ``minimize``,
+    where tests and tracers patch it.
     """
-    history = [engine.cost_and_grad(params)[0]]
-
-    def record(intermediate_result):
-        history.append(float(intermediate_result.fun))
-
-    budget = 2 * engine.n * max_sweeps * inner_maxfev
+    history = []
     res = minimize(
-        engine.cost_and_grad,
-        params,
-        jac=True,
-        method="L-BFGS-B",
-        callback=record,
-        options={"maxfun": budget, "maxiter": budget, "ftol": sweep_tol, "gtol": 1e-12},
+        engine.cost_and_grad, params, ftol=sweep_tol,
+        maxfun=2 * engine.n * max_sweeps * inner_maxfev, callback=history.append,
     )
     return res.x, history, res.status != 1 and res.nit > 0
 
@@ -401,18 +380,20 @@ def optimize_schedule(
     ``target`` is the ``n``-qubit register state as a chain; a dense vector
     is decomposed once by :func:`~seqclone.mps.from_statevector`.
 
-    Each restart runs L-BFGS-B once on all parameters (every step's
-    couplings, plus its ancilla and qubit rotation angles when ``aux``) on
-    the exact gradient of the cost ``2 (1 - F)``.  The keywords keep the
-    names of the block sweeps this replaced and map onto L-BFGS-B as:
+    Each restart runs L-BFGS (:func:`seqclone.lbfgs.minimize`) once on all
+    parameters (every step's couplings, plus its ancilla and qubit rotation
+    angles when ``aux``) on the exact gradient of the cost ``2 (1 - F)``.
+    The keywords keep the names of the block sweeps this replaced and map
+    onto L-BFGS as:
 
     * ``2 n max_sweeps inner_maxfev`` cost-and-gradient evaluations, the
-      budget the sweeps had, is both ``maxfun`` and ``maxiter``;
+      budget the sweeps had, is ``maxfun``;
     * ``sweep_tol`` is ``ftol``: for a cost of at most 1 the run stops once
       an iteration lowers the cost by less than ``sweep_tol``
       (``sweep_tol=0`` runs until the gradient vanishes, the line search
       fails or the budget is spent);
-    * ``gtol`` is fixed at 1e-12.
+    * the gradient test is fixed at ``max |g| <= 1e-12``
+      (:data:`seqclone.lbfgs.GTOL`).
 
     The run is repeated from ``restarts`` random starting points (child
     seeds spawned from ``seed``) and the best is returned; its

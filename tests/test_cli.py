@@ -435,23 +435,29 @@ import seqclone
 from seqclone import cli
 from seqclone.cloning import GMSpec, gm_chain
 
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
 out = sys.argv[1]
+loaded = {"import": scipy_modules()}
 codes = [
     cli.main(["gm-info", "--clones", "3", "--threads", "1", "-o", out + "/info.csv"]),
     cli.main(["regularize", "--clones", "3", "--bond-caps", "2",
               "--methods", "svd,variational", "--threads", "1", "-o", out + "/scan.csv"]),
 ]
-before = "scipy.optimize" in sys.modules
-scipy_modules = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+loaded["gm-info, regularize"] = scipy_modules()
+codes.append(cli.main(["synthesize", "--qubits", "3", "--restarts", "1", "--max-sweeps", "1",
+                       "--threads", "1", "-o", out + "/synth.csv"]))
+loaded["synthesize"] = scipy_modules()
 res = seqclone.optimize_schedule(
     gm_chain(GMSpec(2)), 3, aux=True, restarts=1, seed=1, max_sweeps=1, inner_maxfev=20
 )
-print(json.dumps({"codes": codes, "before": before, "scipy_modules": scipy_modules,
-                  "after": "scipy.optimize" in sys.modules, "fidelity": res.fidelity}))
+loaded["optimize_schedule"] = scipy_modules()
+print(json.dumps({"codes": codes, "loaded": loaded, "fidelity": res.fidelity}))
 """
 
 
-def test_scipy_optimize_loads_only_for_synthesis(tmp_path):
+def test_no_scipy_module_loads(tmp_path):
     src = os.path.dirname(os.path.dirname(seqclone.__file__))
     blas = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     proc = subprocess.run(
@@ -460,8 +466,7 @@ def test_scipy_optimize_loads_only_for_synthesis(tmp_path):
         env={**os.environ, **blas, "PYTHONPATH": src},
     )
     probe = json.loads(proc.stdout.splitlines()[-1])
-    assert probe["codes"] == [0, 0]
-    assert not probe["before"], "import seqclone, gm-info or regularize loaded scipy.optimize"
-    assert probe["scipy_modules"] == [], "import seqclone, gm-info or regularize loaded scipy"
-    assert probe["after"]
+    assert probe["codes"] == [0, 0, 0]
+    for stage, modules in probe["loaded"].items():
+        assert modules == [], f"{stage} loaded {modules}"
     assert 0.0 < probe["fidelity"] <= 1.0

@@ -81,6 +81,17 @@ class TestFromStatevector:
         chain = from_statevector(state, 1e-10)
         assert chain.max_bond <= 2 * m_clones
 
+    @pytest.mark.parametrize("scale", [1 + 8e-11, 1 - 8e-11])
+    def test_divides_out_an_accepted_norm_error(self, scale):
+        # a norm within the accepted 1e-10 of 1 must still give a canonical
+        # chain, or the canonical-only paths reject it
+        v = random_state(np.random.default_rng(4), 4)
+        m = from_statevector(v * scale)
+        assert m.canonical
+        assert np.max(np.abs(to_statevector(m) - v)) < 1e-14
+        extract_isometries(m)
+        svd_truncate_mps(m, 2)
+
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalized"):
             from_statevector(np.array([1.0, 1.0]))
