@@ -7,7 +7,8 @@ Conventions fixed here and relied upon everywhere else:
 * QR factors are thin (``q`` has ``min(m, n)`` orthonormal columns) and
   come straight from LAPACK's Householder routines, with no phase fix,
   called through numpy's private ``numpy.linalg.lapack_lite`` (see
-  :func:`qr`), so that the package imports no scipy module,
+  :func:`qr` and :class:`Householder`), so that the package imports no
+  scipy module,
 * SVD phases are made deterministic (the first entry of every left singular
   vector whose magnitude is within a relative ``PIVOT_RTOL`` of the largest
   is real and positive),
@@ -86,24 +87,45 @@ def svd(a: np.ndarray) -> SVDResult:
     return SVDResult(left=u, singulars=s, right=vh.conj().T)
 
 
-def _householder(a: np.ndarray, with_r: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Thin ``q`` of ``a``, and ``r`` if asked, by ``zgeqrf`` then ``zungqr``."""
-    a = _as_matrix(a)
-    m, n = a.shape
-    k = min(m, n)
-    # lapack_lite reads its C-contiguous arrays column-major, so this copy is
-    # ``a`` in LAPACK's layout; ``packed.T`` views it as ``m x n`` again
-    packed = a.T.copy()
-    tau = np.empty(k, np.complex128)
-    work = np.empty(3 * n, np.complex128)
-    info = lapack_lite.zgeqrf(m, n, packed, m, tau, work, 3 * n, 0)["info"]
-    # zungqr overwrites the packed factor, whose upper triangle is r
-    r = np.triu(packed.T[:k]) if with_r else None
-    if info == 0:
-        info = lapack_lite.zungqr(m, k, k, packed, m, tau, work, 3 * k, 0)["info"]
-    if info != 0:
-        raise NumericalFailure(f"QR failed (LAPACK info {info}) for a {m}x{n} matrix")
-    return (packed.T if k == n else packed.T[:, :k].copy(order="F")), r
+class Householder:
+    """Thin QR by one LAPACK ``zgeqrf``/``zungqr`` pair, with its buffers kept.
+
+    :meth:`qr` is :func:`qr`; :meth:`q` returns its ``q`` alone, for callers
+    that only orthonormalize, and skips the ``triu``.  An instance keeps
+    LAPACK's ``tau`` and ``work`` arrays between calls, grown to the widest
+    input so far, so a loop of small factorizations (an ALS sweep) allocates
+    only the copy that LAPACK overwrites.  ``tau`` carries from ``zgeqrf`` to
+    ``zungqr``, so one instance serves one thread.
+    """
+
+    def __init__(self):
+        self._tau = self._work = np.empty(0, np.complex128)
+
+    def qr(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self._factor(a, True)
+
+    def q(self, a: np.ndarray) -> np.ndarray:
+        return self._factor(a, False)[0]
+
+    def _factor(self, a, with_r):
+        a = _as_matrix(a)
+        m, n = a.shape
+        k = min(m, n)
+        if self._work.size < 3 * n:
+            self._tau = np.empty(n, np.complex128)
+            self._work = np.empty(3 * n, np.complex128)
+        tau, work = self._tau, self._work
+        # lapack_lite reads its C-contiguous arrays column-major, so this copy
+        # is ``a`` in LAPACK's layout; ``packed.T`` views it as ``m x n`` again
+        packed = a.T.copy()
+        info = lapack_lite.zgeqrf(m, n, packed, m, tau, work, 3 * n, 0)["info"]
+        # zungqr overwrites the packed factor, whose upper triangle is r
+        r = np.triu(packed.T[:k]) if with_r else None
+        if info == 0:
+            info = lapack_lite.zungqr(m, k, k, packed, m, tau, work, 3 * k, 0)["info"]
+        if info != 0:
+            raise NumericalFailure(f"QR failed (LAPACK info {info}) for a {m}x{n} matrix")
+        return (packed.T if k == n else packed.T[:, :k].copy(order="F")), r
 
 
 def qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,17 +140,13 @@ def qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     range, the factors are the same bits as ``numpy.linalg.qr``'s.  Above
     it the block size follows the workspace, here ``3 n`` (``3 k`` for
     ``zungqr``) as in scipy's LAPACK wrappers, and the bits may differ.
+    Repeated factorizations can share buffers through :class:`Householder`.
 
     Raises:
         ValueError: empty input.
         NumericalFailure: LAPACK reported an error.
     """
-    return _householder(a, True)
-
-
-def qr_q(a: np.ndarray) -> np.ndarray:
-    """The ``q`` of :func:`qr` alone, for callers that only orthonormalize."""
-    return _householder(a, False)[0]
+    return Householder().qr(a)
 
 
 def truncate_rank(a: np.ndarray, k: int) -> np.ndarray:

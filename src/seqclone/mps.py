@@ -121,7 +121,7 @@ def shift_centre(sites: list[np.ndarray], k: int, step: int) -> None:
     right-orthonormal (``sum_i X^i X^i{dagger} = 1``); the chain still
     represents the same state.  Tensors are replaced, never written into.
     The QR is :func:`linalg.qr`; a caller that overwrites site ``k + step``
-    next, as the ALS sweep does, needs only :func:`linalg.qr_q`.
+    next, as the ALS sweep does, needs only :meth:`linalg.Householder.q`.
     """
     two, lw, rw = sites[k].shape
     if step > 0:

@@ -317,6 +317,40 @@ class TestRegularizationScan:
             floor = 1.0 - np.sqrt(d * (2 * m - d + 1) / (m * (m + 1)))
             assert abs(report.error - floor) < 1e-12
 
+    def test_truncates_once_per_cap(self, monkeypatch):
+        # the truncation row and the seed of the seeded row are one run
+        calls = []
+        real = compression.svd_truncate_mps
+
+        def counted(target, cap):
+            calls.append(cap)
+            return real(target, cap)
+
+        monkeypatch.setattr(compression, "svd_truncate_mps", counted)
+        caps = [1, 2, 3, 4, 6]
+        reports = regularization_scan(GMSpec(4), caps, [METHOD_SVD, METHOD_VARIATIONAL_SEEDED])
+        assert calls == caps
+        assert [r.method for r in reports] == [METHOD_SVD, METHOD_VARIATIONAL_SEEDED] * len(caps)
+
+    @pytest.mark.parametrize("methods", [
+        [METHOD_SVD, METHOD_VARIATIONAL_SEEDED, METHOD_VARIATIONAL],
+        [METHOD_VARIATIONAL, METHOD_VARIATIONAL_SEEDED, METHOD_SVD],
+        [METHOD_SVD],
+    ], ids=["svd-first", "svd-last", "svd-alone"])
+    def test_rows_equal_separate_calls(self, methods):
+        spec, caps = GMSpec(5, PureQubit(0.6, 0.8j)), [1, 2, 3, 4, 6]
+        target = gm_mps(spec)
+        reports = regularization_scan(spec, caps, methods, seed=4)
+        expected = [
+            svd_truncate_mps(target, cap)[1] if method == METHOD_SVD
+            else variational_compress(target, cap, method, seed=4)[1]
+            for cap in caps
+            for method in methods
+        ]
+        # dataclass equality: every field, float for float, sweep errors and
+        # the seeded row's seed report included
+        assert reports == expected
+
     def test_resource_cap(self):
         with pytest.raises(ResourceLimitError):
             regularization_scan(GMSpec(51, KET_PLUS), [2], [METHOD_SVD])
@@ -326,10 +360,27 @@ class TestRegularizationScan:
             regularization_scan(GMSpec(2, KET_PLUS), [2], ["bogus"])
 
 
-class _EinsumWorkspace(compression._SweepWorkspace):
-    """Reference sweep kernel: every contraction by ``einsum``, every site
-    projected on every visit, ``numpy.linalg.qr`` with the ``R`` factor
-    carried into the next site."""
+class _EinsumWorkspace:
+    """Reference sweep kernel, sharing no code with the package's: every
+    contraction by ``einsum``, every site projected on every visit, and
+    ``numpy.linalg.qr`` with the ``R`` factor carried into the next site.
+    Same interface as ``compression._SweepWorkspace``: ``error`` after set-up
+    is the starting projection's, ``sweep()`` and ``sites()``."""
+
+    def __init__(self, target_sites, trial_sites):
+        self.ts = target_sites
+        self.xs = list(trial_sites)
+        self.n = len(self.xs)
+        one = np.ones((1, 1), dtype=np.complex128)
+        self.lmix = [one] * self.n
+        self.rmix = [one] * self.n
+        for k in range(self.n - 1, 0, -1):
+            self._extend_rmix(k)
+        x = self._project(0)
+        self.error = 1.0 - float(np.vdot(x, x).real)
+
+    def _project(self, k):
+        return np.einsum("lt,itu,ru->ilr", self.lmix[k], self.ts[k], self.rmix[k], optimize=True)
 
     def _extend_lmix(self, k):
         self.lmix[k + 1] = np.einsum("ilr,lt,itu->ru", self.xs[k].conj(), self.lmix[k], self.ts[k])
@@ -338,7 +389,7 @@ class _EinsumWorkspace(compression._SweepWorkspace):
         self.rmix[k - 1] = np.einsum("ilr,ru,itu->lt", self.xs[k].conj(), self.rmix[k], self.ts[k])
 
     def _update(self, k, step):
-        x = np.einsum("lt,itu,ru->ilr", self.lmix[k], self.ts[k], self.rmix[k], optimize=True)
+        x = self._project(k)
         self.xs[k] = x
         if 0 <= k + step < self.n:
             two, lw, rw = x.shape
@@ -352,17 +403,20 @@ class _EinsumWorkspace(compression._SweepWorkspace):
                 self.xs[k] = q.conj().T.reshape(-1, two, rw).transpose(1, 0, 2)
                 self.xs[k - 1] = np.einsum("ilr,sr->ils", self.xs[k - 1], r.conj())
                 self._extend_rmix(k)
-        return 1.0 - float(np.vdot(x, x).real)
+        self.error = 1.0 - float(np.vdot(x, x).real)
 
     def sweep(self):
         for k in range(self.n):
-            err = self._update(k, +1)
+            self._update(k, +1)
         for k in range(self.n - 1, -1, -1):
-            err = self._update(k, -1)
-        return err
+            self._update(k, -1)
+        return self.error
+
+    def sites(self):
+        return self.xs
 
 
-def _compress_scan_plan(seed):
+def _compress_scan_plan(seed, qubit=KET_PLUS):
     """The benchmark's compress-scan round: M = 2..8, truncation and seeded
     ALS at caps 2-4, unseeded ALS at caps 2-3; ALS reports keyed by point."""
     reports = {}
@@ -371,16 +425,35 @@ def _compress_scan_plan(seed):
             ([2, 3, 4], [METHOD_SVD, METHOD_VARIATIONAL_SEEDED]),
             ([2, 3], [METHOD_VARIATIONAL]),
         ):
-            for r in regularization_scan(GMSpec(m), caps, methods, seed=seed):
+            for r in regularization_scan(GMSpec(m, qubit), caps, methods, seed=seed):
                 if r.method != METHOD_SVD:
                     reports[(m, r.bond_cap, r.method)] = r
     return reports
 
 
+def _random_bond4_runs():
+    """Seeded and unseeded ALS at caps 2 and 3 of one random complex chain
+    with bonds up to 4 (not canonical; the compression canonicalizes it)."""
+    target = _random_trial(9, 4, np.random.default_rng(31))
+    return {
+        (cap, method): compress(target, cap, method, seed=5)[1]
+        for cap in (2, 3)
+        for method in (METHOD_VARIATIONAL, METHOD_VARIATIONAL_SEEDED)
+    }
+
+
+def _assert_same_runs(reports, reference):
+    assert reports.keys() == reference.keys()
+    for key, r in reports.items():
+        ref = reference[key]
+        assert (r.sweeps_used, r.converged) == (ref.sweeps_used, ref.converged), key
+        assert abs(r.fidelity - ref.fidelity) <= 1e-14, key
+
+
 class TestSweepKernel:
     def test_compress_scan_plan_pinned(self, monkeypatch):
         reports = _compress_scan_plan(seed=1)
-        assert sum(r.sweeps_used for r in reports.values()) == 471
+        assert sum(r.sweeps_used for r in reports.values()) == 456
         assert sorted(key for key, r in reports.items() if not r.converged) == [
             (6, 2, METHOD_VARIATIONAL),
             (7, 2, METHOD_VARIATIONAL),
@@ -389,27 +462,55 @@ class TestSweepKernel:
             (8, 3, METHOD_VARIATIONAL),
         ]
         monkeypatch.setattr(compression, "_SweepWorkspace", _EinsumWorkspace)
-        reference = _compress_scan_plan(seed=1)
-        assert reports.keys() == reference.keys()
-        for key, r in reports.items():
-            ref = reference[key]
-            assert (r.sweeps_used, r.converged) == (ref.sweeps_used, ref.converged), key
-            assert abs(r.fidelity - ref.fidelity) <= 1e-14, key
+        _assert_same_runs(reports, _compress_scan_plan(seed=1))
+
+    @pytest.mark.parametrize("runs", [
+        lambda: _compress_scan_plan(seed=1, qubit=PureQubit(0.6, 0.8j)),
+        _random_bond4_runs,
+    ], ids=["complex-input-plan", "random-bond4-chain"])
+    def test_matches_einsum_reference(self, monkeypatch, runs):
+        reports = runs()
+        monkeypatch.setattr(compression, "_SweepWorkspace", _EinsumWorkspace)
+        _assert_same_runs(reports, runs())
 
     @pytest.mark.parametrize("qubit", [KET_PLUS, PureQubit(0.6, 0.8j)], ids=["plus", "complex"])
     def test_one_qubit_sweep_needs_no_qr(self, monkeypatch, qubit):
-        # a one-site sweep only projects: the trial becomes the target itself
+        # a one-site sweep only projects: the trial becomes the target itself,
+        # already at the starting projection, so one sweep ends the run
         target = from_statevector(qubit.vector)
 
-        def no_qr(a):
+        def no_qr(*args):
             raise AssertionError("a one-site sweep ran a QR")
 
-        monkeypatch.setattr(compression.linalg, "qr_q", no_qr)
+        monkeypatch.setattr(compression.linalg.Householder, "_factor", no_qr)
         out, report = variational_compress(target, 1, METHOD_VARIATIONAL, seed=3)
         monkeypatch.setattr(compression, "_SweepWorkspace", _EinsumWorkspace)
         _, ref = variational_compress(target, 1, METHOD_VARIATIONAL, seed=3)
-        assert (report.sweeps_used, report.converged) == (ref.sweeps_used, ref.converged) == (2, True)
+        assert (report.sweeps_used, report.converged) == (ref.sweeps_used, ref.converged) == (1, True)
         assert report.sweep_errors == ref.sweep_errors
         assert report.fidelity == ref.fidelity
         assert abs(report.error) <= 1e-15
         assert np.max(np.abs(out.sites[0] - target.sites[0])) <= 1e-15
+
+    def test_seed_at_its_fixed_point_stops_after_one_sweep(self):
+        # the truncated cloner state is already the cap-D optimum: its first
+        # sweep matches the starting projection (sweep 0) to 1e-12
+        for m, cap in ((5, 2), (6, 3), (8, 4)):
+            target = gm_mps(GMSpec(m))
+            _, report = variational_compress(target, cap, METHOD_VARIATIONAL_SEEDED)
+            assert (report.sweeps_used, report.converged) == (1, True), (m, cap)
+            assert abs(report.error - svd_truncate_mps(target, cap)[1].error) <= 1e-15
+
+    @pytest.mark.parametrize("m", [6, 7, 8])
+    def test_unseeded_gap_closes_at_schmidt_ratio_rate(self, m):
+        # single-site ALS from a random start closes its squared-distance gap
+        # to the cap-2 floor by (s_3 / s_2)^4 per sweep, with s the Schmidt
+        # values of the binding clone/anticlone cut: 0.64 to 0.73 here, which
+        # is why these runs meet the 50-sweep limit
+        v = gm_state(GMSpec(m))
+        s = np.linalg.svd(v.reshape(2**m, -1), compute_uv=False)
+        floor = 1.0 - s[0] ** 2 - s[1] ** 2
+        _, report = variational_compress(gm_mps(GMSpec(m)), 2, METHOD_VARIATIONAL, seed=7)
+        gaps = np.array(report.sweep_errors) - floor
+        rate = (gaps[47] / gaps[39]) ** (1 / 8)
+        assert abs(rate - (s[2] / s[1]) ** 4) <= 1e-3

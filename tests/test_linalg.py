@@ -6,9 +6,9 @@ import pytest
 from seqclone import linalg
 from seqclone.errors import NumericalFailure
 from seqclone.linalg import (
+    Householder,
     complete_to_unitary,
     qr,
-    qr_q,
     svd,
     truncate_rank,
 )
@@ -132,7 +132,7 @@ class TestQr:
         assert np.max(np.abs(q.conj().T @ q - np.eye(k))) <= 1e-14
         assert np.array_equal(r, np.triu(r))
         assert np.max(np.abs(q @ r - a)) <= 1e-14
-        assert np.array_equal(qr_q(a), q)
+        assert np.array_equal(Householder().q(a), q)
 
     @pytest.mark.parametrize("name", list(QR_CASES))
     def test_agrees_with_numpy(self, name):
@@ -144,7 +144,17 @@ class TestQr:
         q_ref, r_ref = np.linalg.qr(a)
         assert np.array_equal(q, q_ref)
         assert np.array_equal(r, r_ref)
-        assert np.array_equal(qr_q(a), q_ref)
+        assert np.array_equal(Householder().q(a), q_ref)
+
+    def test_reused_buffers_change_no_bits(self):
+        # one instance through every case, narrowest first and then back, so
+        # its buffers grow and are then reused wider than the input
+        shared = Householder()
+        for a in [*reversed(QR_CASES.values()), *QR_CASES.values()]:
+            q, r = qr(a)
+            assert np.array_equal(shared.q(a), q)
+            q2, r2 = shared.qr(a)
+            assert np.array_equal(q2, q) and np.array_equal(r2, r)
 
     @pytest.mark.parametrize("routine", ["zgeqrf", "zungqr"])
     def test_lapack_error_raises(self, monkeypatch, routine):
@@ -154,7 +164,7 @@ class TestQr:
             return {**real(*args), "info": -1}
 
         monkeypatch.setattr(linalg.lapack_lite, routine, failing)
-        for factor in (qr, qr_q):
+        for factor in (qr, Householder().q):
             with pytest.raises(NumericalFailure, match="QR failed"):
                 factor(QR_CASES["square"])
 
