@@ -81,6 +81,11 @@ def svd_truncate_mps(
     if bond_cap < 1:
         raise ValueError(f"bond cap must be >= 1, got {bond_cap}")
     target.require_canonical("per-bond truncation")
+    return _truncate(target, bond_cap)
+
+
+def _truncate(target, bond_cap):
+    """:func:`svd_truncate_mps` of a chain already known to be canonical."""
     if bond_cap >= target.max_bond:
         report = FidelityReport(
             fidelity=1.0,
@@ -256,8 +261,9 @@ def variational_compress(
 
     seed_report = None
     if method == METHOD_VARIATIONAL_SEEDED:
-        # per-bond truncation leaves sites 1..n-1 right-orthonormal
-        trial, seed_report = svd_truncate_mps(target, bond_cap)
+        # per-bond truncation leaves sites 1..n-1 right-orthonormal; the
+        # target was made canonical above, so it is not measured again
+        trial, seed_report = _truncate(target, bond_cap)
         if bond_cap >= target.max_bond:
             report = FidelityReport(
                 fidelity=1.0, sweeps_used=0, method=method,

@@ -18,9 +18,10 @@ Sci. Comput. 16, 1190 (1995)), step for step:
 * the run stops once ``max |g| <= GTOL``, once an iteration lowers the cost
   by at most ``ftol * max(|f_old|, |f|, 1)``, or on its budget: more than
   ``maxfun`` evaluations at the end of an iteration.  The budget is tested
-  first.  L-BFGS-B's iteration budget is left out: set equal to
-  ``maxfun`` it never binds, since a run has made at least ``nit + 1``
-  evaluations after ``nit`` iterations.
+  first, after the caller's own stop test (the callback).  L-BFGS-B's
+  iteration budget is left out: set equal to ``maxfun`` it never binds,
+  since a run has made at least ``nit + 1`` evaluations after ``nit``
+  iterations.
 
 Only numpy is needed.
 """
@@ -35,6 +36,8 @@ import numpy as np
 MEMORY = 10
 MAX_EVALS = 20
 GTOL = 1e-12
+#: the message of a run that its callback stopped
+STOPPED = "stopped by the callback"
 _EPS = float(np.finfo(float).eps)
 # More-Thuente sufficient decrease, curvature and interval tolerances
 _DECREASE, _CURVATURE, _XTOL = 1e-3, 0.9, 0.1
@@ -45,8 +48,9 @@ _EYE = np.eye(MEMORY)
 class Result(NamedTuple):
     """Outcome of :func:`minimize`.
 
-    ``status`` is 0 when a convergence test stopped the run, 1 when its
-    budget did and 2 when the line search failed with an empty memory.
+    ``status`` is 0 when a convergence test or the callback stopped the run,
+    1 when its budget did and 2 when the line search failed with an empty
+    memory.
     """
 
     x: np.ndarray
@@ -60,12 +64,14 @@ class Result(NamedTuple):
 def minimize(fun, x0, *, ftol, maxfun, callback) -> Result:
     """Minimize ``fun(x) -> (cost, gradient)`` from ``x0``.
 
-    ``callback(cost)`` runs on the starting cost and after every iteration.
+    ``callback(cost)`` runs on the starting cost and after every iteration;
+    a true return value ends the run there, with status 0.
     """
     x = np.array(x0, dtype=float).reshape(-1)
     f, g = fun(x)
-    callback(f)
     nfev, nit = 1, 0
+    if callback(f):
+        return Result(x, f, nit, nfev, 0, STOPPED)
     memory = _Memory(x.size)
     status, message = 0, "gradient below gtol"
     if np.abs(g).max() <= GTOL:
@@ -88,7 +94,9 @@ def minimize(fun, x0, *, ftol, maxfun, callback) -> Result:
         stp, x, f_new, g_new, gd_new = found
         f_old, f, y, g = f, f_new, g_new - g, g_new
         nit += 1
-        callback(f)
+        if callback(f):
+            message = STOPPED
+            break
         if nfev > maxfun:
             status, message = 1, "budget spent"
             break

@@ -22,13 +22,25 @@ restricted entangler is measured against.
 
 The preparation and the target are both chains; no dense vector is built.
 Step ``k`` emits qubit ``k`` through the bond-2 site
-``A_k^i[a_out, a_in] = U_k[(a_out, i), (a_in, 0)]``.  Couplings are
-optimized by one L-BFGS run (:mod:`seqclone.lbfgs`, the unbounded case of
-L-BFGS-B) on all parameters per random restart, on the exact gradient from
-two transfer passes, so a cost-and-gradient evaluation costs ``O(n D^2)``
-for a target of bond ``D`` (see :class:`_CostEngine`).  The step gates and
-their derivatives are built for all steps in one batch.  Only numpy is
-needed: no part of the package imports scipy.
+``A_k^i[a_out, a_in] = U_k[(a_out, i), (a_in, 0)]``.  Two routes find the
+couplings:
+
+* **By construction** (rotations on): the target is compressed to bond 2
+  and left-canonicalized, and each site, last first, is an isometry that
+  its step must realize up to a unitary gauge on the ancilla.
+  :func:`fit_step` fits the step's 8 parameters to it by a small L-BFGS
+  run, and the best gauge, a closed-form 2x2 polar factor, carries on to
+  the next site (:func:`schedule_from_chain`).  The step residuals certify
+  the result: near 0, the schedule prepares the bond-2 optimum.
+* **By global search**, the fallback when a residual stays above 1e-12 and
+  the only route with rotations off: one L-BFGS run on all parameters per
+  random restart, on the exact gradient from two transfer passes, so a
+  cost-and-gradient evaluation costs ``O(n D^2)`` for a target of bond
+  ``D`` (see :class:`_CostEngine`).  The step gates and their derivatives
+  are built for all steps in one batch.
+
+Both use :mod:`seqclone.lbfgs`, the unbounded case of L-BFGS-B.  Only numpy
+is needed: no part of the package imports scipy.
 
 Layout conventions follow :mod:`seqclone.mps`: the register reads
 ``i_n ... i_1``, most significant first, and step ``k`` emits qubit ``k``,
@@ -44,9 +56,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .compression import METHOD_VARIATIONAL_SEEDED, compress
 from .errors import check_fidelity
 from .lbfgs import minimize
-from .mps import MatrixProductState, from_statevector, norm as mps_norm
+from .mps import MatrixProductState, from_statevector, norm as mps_norm, shift_centre
 
 PAULI = (
     np.eye(2, dtype=np.complex128),
@@ -60,6 +73,14 @@ COUPLING_XXZ = "xxz"
 _SWEEP_TOL = 1e-10
 _MAX_SWEEPS = 200
 _INNER_MAXFEV = 500
+
+# constructive route: a step fit stops once its residual is at most
+# _STEP_STOP, and it certifies the step at _STEP_TOL; each step gets up to
+# _STEP_STARTS runs of at most _STEP_MAXFUN evaluations
+_STEP_STOP = 1e-20
+_STEP_TOL = 1e-12
+_STEP_STARTS = 20
+_STEP_MAXFUN = 2000
 
 # the ancilla starts in |0>
 _ANCILLA_START = np.array([1.0, 0.0], dtype=np.complex128)
@@ -125,6 +146,8 @@ class SynthesisResult:
     converged: bool = True
     schedule: CouplingSchedule | None = None
     cost_history: list[float] = dc_field(default_factory=list)
+    # the constructive route's residual per step (aux on), else None
+    step_residuals: np.ndarray | None = None
 
     def __post_init__(self):
         check_fidelity(self.fidelity)
@@ -365,6 +388,231 @@ def _descend(engine: _CostEngine, params, max_sweeps, sweep_tol, inner_maxfev):
     return res.x, history, res.status != 1 and res.nit > 0
 
 
+def _random_starts(engine: _CostEngine, restarts, seed):
+    """Flat starting parameters of ``restarts`` runs, one per child seed of ``seed``.
+
+    Each step's row is drawn uniformly from ``[-pi, pi)``; with ``aux`` its
+    six angles are then redrawn from ``[0, 2 pi)``.
+    """
+    starts = []
+    for child in np.random.SeedSequence(seed).spawn(restarts):
+        rng = np.random.default_rng(child)
+        rows = np.zeros((engine.n, engine.block_size))
+        for row in rows:
+            row[:] = rng.uniform(-np.pi, np.pi, size=engine.block_size)
+            if engine.aux:
+                row[2:] = rng.uniform(0.0, 2.0 * np.pi, size=6)
+        starts.append(rows.reshape(-1))
+    return starts
+
+
+def _restarts(engine: _CostEngine, starts, max_sweeps, sweep_tol, inner_maxfev):
+    """``(params, history, converged)`` of the best :func:`_descend` run
+    over ``starts``; on a tie the earlier run stays."""
+    best = None
+    for params in starts:
+        run = _descend(engine, params, max_sweeps, sweep_tol, inner_maxfev)
+        if best is None or run[1][-1] < best[1][-1]:
+            best = run
+    return best
+
+
+def _schedule_of(rows, aux) -> CouplingSchedule:
+    """The schedule of parameter rows: ``(h1, h2)``, then with ``aux`` the
+    ancilla and the qubit angles."""
+    return CouplingSchedule(
+        steps=[StepCoupling(float(h1), float(h2)) for h1, h2 in rows[:, :2]],
+        aux_enabled=aux,
+        aux_qubit=rows[:, 5:] if aux else None,
+        aux_ancilla=rows[:, 2:5] if aux else None,
+    )
+
+
+def _result(engine: _CostEngine, params, history, iterations, converged, residuals=None):
+    """The :class:`SynthesisResult` of the flat parameters ``params``.
+
+    ``history`` None stands for the cost of ``params`` alone.
+    """
+    n = engine.n
+    schedule = _schedule_of(params.reshape(n, engine.block_size), engine.aux)
+    _, w = engine.right_pass(_chain_sites(engine.gates(params)))
+    f = float(np.linalg.norm(w))
+    final_ancilla = w / f if f > 0 else w
+    if history is None:
+        history = [2.0 * (1.0 - f)]
+    f = min(f, 1.0)  # rounding can lift an exact preparation just above 1; NaN stays
+    return SynthesisResult(
+        generated=sequential_generate(schedule, n),
+        fidelity=f,
+        optimal_phi_final=final_ancilla,
+        iterations=iterations,
+        converged=converged,
+        schedule=schedule,
+        cost_history=history,
+        step_residuals=residuals,
+    )
+
+
+# --- constructive route -------------------------------------------------------
+
+
+def _polar(k):
+    """Polar factor and nuclear norm of a 2x2 matrix ``k``, in closed form.
+
+    ``||k||_* = sqrt(||k||_F^2 + 2 |det k|)``, and the unitary
+    ``W = (k + e^{i arg det k} conj(cof k)) / ||k||_*`` maximizes
+    ``Re tr(W^H k)``.  For a singular ``k`` any phase gives a polar factor;
+    1 is taken, and ``k = 0`` gives the identity.
+    """
+    (a, b), (c, d) = k.tolist()
+    det = a * d - b * c
+    size = abs(det)
+    nuclear = math.sqrt(abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2 + 2.0 * size)
+    if nuclear == 0.0:
+        return np.eye(2, dtype=np.complex128), 0.0
+    phase = det / size if size > 0.0 else 1.0
+    cofactor = np.array([[d, -c], [-b, a]]).conj()
+    return (k + phase * cofactor) / nuclear, nuclear
+
+
+class _StepCost:
+    """Residual of one aux-on step against a step isometry, with its gradient.
+
+    ``v`` is ``4 x r`` with rows ``(a_out, i)``; ``ancilla_in`` (``2 x r``,
+    orthonormal columns) holds the ancilla states that enter the step.  The
+    step's columns ``C[:, r] = U (ancilla_in[:, r] (x) |0>)`` are
+    ``E(h1, h2) (R_a ancilla_in[:, r] (x) R_q |0>)``, built with the
+    derivatives by the 8 parameters (couplings, ancilla angles, qubit angles)
+    and never the whole ``U``.  With ``K = sum_{i,r} C[(., i), r]
+    v[(., i), r]^H`` and its polar factor ``W``, the best ancilla gauge, the
+    residual is ``1/2 ||C - (W (x) I) v||^2``, equal to ``r - ||K||_*``.  It
+    is computed as the norm of the difference, which keeps its digits below
+    1e-16, where ``r - ||K||_*`` stalls near 1e-14.  Its gradient is
+    ``-Re tr(W^H dK)``, since ``W`` is optimal and its own change drops out;
+    it is taken as ``Re <C - (W (x) I) v, dC>``, the same because the
+    columns keep their norm.
+    """
+
+    def __init__(self, v, ancilla_in):
+        self.rdim = v.shape[1]
+        self.rows = v.reshape(2, -1)  # (a_out, (i, r))
+        self.rows_h = self.rows.conj().T
+        self.ancilla_in = ancilla_in
+
+    def __call__(self, p):
+        return self.evaluate(p)[:2]
+
+    def evaluate(self, p):
+        """``(residual, gradient, W)`` at the parameters ``p``."""
+        u = xxz_unitary(p[0], p[1])
+        rots, drots = _euler_zyz(p[2:].reshape(2, 3), jac=True)
+        y, dy = rots[0] @ self.ancilla_in, drots[0] @ self.ancilla_in
+        q, dq = rots[1][:, 0], drots[1][:, :, 0]
+        # the pair inputs y[:, r] (x) q and their derivatives, indexed (b, j, r)
+        inputs = np.empty((7, 2, 2, self.rdim), dtype=np.complex128)
+        inputs[0] = y[:, None, :] * q[:, None]
+        inputs[1:4] = dy[:, :, None, :] * q[:, None]
+        inputs[4:] = y[:, None, :] * dq[:, None, :, None]
+        cols = u @ inputs.reshape(7, 4, self.rdim)
+        c = cols[0]
+        w, _ = _polar(c.reshape(2, -1) @ self.rows_h)
+        diff = c - (w @ self.rows).reshape(4, -1)
+        dc = np.concatenate([-1j * (_XXZ_TERMS @ c), cols[1:]])
+        grad = (dc.reshape(8, -1) @ diff.reshape(-1).conj()).real
+        return 0.5 * float(np.vdot(diff, diff).real), grad, w
+
+
+def _fit_done(residual):
+    return residual <= _STEP_STOP
+
+
+def fit_step(v, ancilla_in, rng):
+    """Fit one aux-on step to the step isometry ``v``; returns
+    ``(params, residual, gauge, iterations)``.
+
+    ``v`` (``4 x r``, ``r`` = 1 or 2, rows ``(a_out, i)``) is what the step
+    must map the ancilla states ``ancilla_in[:, r]`` (``2 x r``, orthonormal
+    columns) to, with the qubit entering in ``|0>``, up to a unitary
+    ``gauge`` on the outgoing ancilla.  ``params`` are the step's 8
+    parameters in the order of a schedule row: ``(h1, h2)``, the ancilla
+    and then the qubit ZYZ angles.  ``residual`` is ``1/2 ||C - (gauge (x)
+    I) v||^2`` for the step's columns ``C`` (see :class:`_StepCost`), and
+    ``gauge`` is its closed-form polar factor.
+
+    Each run is one :func:`seqclone.lbfgs.minimize` from a uniform start
+    drawn from the generator ``rng``, stopped once its residual is at most
+    1e-20.  Runs repeat, up to 20, until one ends at a residual of at most
+    1e-12; the best is returned, and ``iterations`` counts the iterations
+    of all runs.
+    """
+    cost = _StepCost(np.asarray(v, dtype=np.complex128), ancilla_in)
+    best, iterations = None, 0
+    for _ in range(_STEP_STARTS):
+        start = np.concatenate([rng.uniform(-np.pi, np.pi, 2), rng.uniform(0.0, 2.0 * np.pi, 6)])
+        res = minimize(cost, start, ftol=0.0, maxfun=_STEP_MAXFUN, callback=_fit_done)
+        iterations += res.nit
+        if best is None or res.fun < best.fun:
+            best = res
+        if best.fun <= _STEP_TOL:
+            break
+    residual, _, gauge = cost.evaluate(best.x)
+    return best.x, residual, gauge, iterations
+
+
+def schedule_from_chain(chain: MatrixProductState, seed: int = 0):
+    """The aux-on schedule of a left-canonical chain of bond at most 2, fitted
+    one step at a time; returns ``(schedule, residuals, iterations)``.
+
+    A two-level ancilla prepares exactly the bond-2 chains (Schoen et al.,
+    PRL 95, 110503 (2005)).  Read last site first, each left-orthonormal
+    site ``t`` is the isometry ``v[(a_out, i), a_in] = t[i, a_out, a_in]``
+    (``a_out`` padded with zeros to 2) that step must realize, up to a
+    unitary gauge on each bond.  :func:`fit_step` fits the step to ``v`` on
+    the ancilla states the earlier steps leave, the columns of the previous
+    gauge (``|0>`` before the first step), and its closed-form polar gauge
+    (Evenbly & Vidal, PRB 79, 144108 (2009)) carries on to the next site.
+    All fits draw their starts from one generator seeded with ``seed``.
+
+    ``residuals`` holds each step's residual in step order, and
+    ``iterations`` the L-BFGS iterations of all fits.  The residuals are a
+    certificate: the schedule's error against the chain,
+    ``1 - |<phi (x) chain|prepared>|`` at the best final ancilla ``phi``,
+    is at most ``(sum_k sqrt(residual_k))^2``.
+    """
+    chain.require_canonical("constructive synthesis")
+    if chain.max_bond > 2:
+        raise ValueError(f"a two-level ancilla prepares bond 2 at most, got {chain.max_bond}")
+    rng = np.random.default_rng(seed)
+    n = chain.n_qubits
+    rows, residuals = np.empty((n, 8)), np.empty(n)
+    gauge, iterations = np.eye(2, dtype=np.complex128), 0
+    for step, t in enumerate(reversed(chain.sites)):
+        _, left, right = t.shape
+        v = np.zeros((2, 2, right), dtype=np.complex128)
+        v[:left] = t.transpose(1, 0, 2)
+        rows[step], residuals[step], gauge, its = fit_step(
+            v.reshape(4, right), gauge[:, :right], rng
+        )
+        iterations += its
+    return _schedule_of(rows, True), residuals, iterations
+
+
+def _bond_two_chain(target: MatrixProductState) -> MatrixProductState:
+    """The seeded cap-2 compression of ``target``, left-canonical and normalized."""
+    chain, _ = compress(target, 2, METHOD_VARIATIONAL_SEEDED)
+    sites = chain.sites
+    for k in range(len(sites) - 1):
+        shift_centre(sites, k, +1)
+    sites[-1] = sites[-1] / np.linalg.norm(sites[-1])
+    return chain
+
+
+def _params(schedule: CouplingSchedule) -> np.ndarray:
+    """The flat aux-on parameters of ``schedule``, one row per step."""
+    couplings = [(s.h1, s.h2) for s in schedule.steps]
+    return np.hstack([couplings, schedule.aux_ancilla, schedule.aux_qubit]).reshape(-1)
+
+
 def optimize_schedule(
     target: MatrixProductState | np.ndarray,
     n: int,
@@ -375,16 +623,31 @@ def optimize_schedule(
     sweep_tol: float = _SWEEP_TOL,
     inner_maxfev: int = _INNER_MAXFEV,
 ) -> SynthesisResult:
-    """Gradient search for couplings preparing ``target``.
+    """Couplings preparing ``target``: built step by step, else searched.
 
     ``target`` is the ``n``-qubit register state as a chain; a dense vector
     is decomposed once by :func:`~seqclone.mps.from_statevector`.
 
-    Each restart runs L-BFGS (:func:`seqclone.lbfgs.minimize`) once on all
-    parameters (every step's couplings, plus its ancilla and qubit rotation
-    angles when ``aux``) on the exact gradient of the cost ``2 (1 - F)``.
-    The keywords keep the names of the block sweeps this replaced and map
-    onto L-BFGS as:
+    With ``aux`` the constructive route runs first.  The target is
+    compressed to bond 2 (seeded sweeping, the unrestricted optimum of a
+    two-level ancilla), left-canonicalized, and :func:`schedule_from_chain`
+    fits the steps to it one at a time.  When every step residual is at
+    most 1e-12 (``step_residuals``), the residuals certify that the
+    schedule prepares the compressed chain, and it is returned with
+    ``converged`` True, ``iterations`` the L-BFGS iterations of all step
+    fits and ``cost_history`` its cost alone.
+
+    Otherwise, and always without ``aux``, the global search runs: one
+    L-BFGS run (:func:`seqclone.lbfgs.minimize`) on all parameters (every
+    step's couplings, plus its ancilla and qubit rotation angles when
+    ``aux``) on the exact gradient of the cost ``2 (1 - F)``, from
+    ``restarts`` random starting points (child seeds spawned from ``seed``)
+    and, with ``aux``, once more from the constructed schedule, so the
+    result is never worse than the random restarts alone.  The best run is
+    returned; its ``cost_history`` holds the starting cost and the cost
+    after each iteration, and ``iterations`` counts its iterations.  The
+    keywords, which govern this search alone, keep the names of the block
+    sweeps it replaced and map onto L-BFGS as:
 
     * ``2 n max_sweeps inner_maxfev`` cost-and-gradient evaluations, the
       budget the sweeps had, is ``maxfun``;
@@ -395,15 +658,11 @@ def optimize_schedule(
     * the gradient test is fixed at ``max |g| <= 1e-12``
       (:data:`seqclone.lbfgs.GTOL`).
 
-    The run is repeated from ``restarts`` random starting points (child
-    seeds spawned from ``seed``) and the best is returned; its
-    ``cost_history`` holds the starting cost and the cost after each
-    iteration, and ``iterations`` counts the iterations.
-
-    ``converged`` is False when the run stopped on its budget or never left
-    its start: a flat cost (XXZ without ``aux`` conserves the excitation
-    number, so it never leaves ``|0...0>``) says nothing about an optimum.
-    ``generated`` is the joint chain of :func:`sequential_generate`.
+    ``converged`` is then False when the best run stopped on its budget or
+    never left its start: a flat cost (XXZ without ``aux`` conserves the
+    excitation number, so it never leaves ``|0...0>``) says nothing about
+    an optimum.  ``generated`` is the joint chain of
+    :func:`sequential_generate`.
 
     The schedule has no closing ancilla rotation: it would be cost-neutral,
     since the free final ancilla state is optimized in closed form.
@@ -425,41 +684,12 @@ def optimize_schedule(
         raise ValueError(f"sweep_tol must be finite and >= 0, got {sweep_tol!r}")
 
     engine = _CostEngine(target, aux)
-    children = np.random.SeedSequence(seed).spawn(restarts)
-    best = None
-    for child in children:
-        rng = np.random.default_rng(child)
-        rows = np.zeros((n, engine.block_size))
-        for row in rows:
-            row[:] = rng.uniform(-np.pi, np.pi, size=engine.block_size)
-            if aux:
-                row[2:] = rng.uniform(0.0, 2.0 * np.pi, size=6)
-        params = rows.reshape(-1)
-        params, history, converged = _descend(
-            engine, params, max_sweeps, sweep_tol, inner_maxfev
-        )
-        run = (history[-1], params, history, converged)
-        if best is None or run[0] < best[0]:
-            best = run
-
-    _, params, history, converged = best
-    rows = params.reshape(n, engine.block_size)
-    schedule = CouplingSchedule(
-        steps=[StepCoupling(float(h1), float(h2)) for h1, h2 in rows[:, :2]],
-        aux_enabled=aux,
-        aux_qubit=rows[:, 5:] if aux else None,
-        aux_ancilla=rows[:, 2:5] if aux else None,
-    )
-    _, w = engine.right_pass(_chain_sites(engine.gates(params)))
-    f = float(np.linalg.norm(w))
-    final_ancilla = w / f if f > 0 else w
-    f = min(f, 1.0)  # rounding can lift an exact preparation just above 1; NaN stays
-    return SynthesisResult(
-        generated=sequential_generate(schedule, n),
-        fidelity=f,
-        optimal_phi_final=final_ancilla,
-        iterations=len(history) - 1,
-        converged=converged,
-        schedule=schedule,
-        cost_history=history,
-    )
+    constructed, residuals = [], None
+    if aux:
+        schedule, residuals, iterations = schedule_from_chain(_bond_two_chain(target), seed)
+        constructed = [_params(schedule)]
+        if residuals.max() <= _STEP_TOL:
+            return _result(engine, constructed[0], None, iterations, True, residuals)
+    starts = _random_starts(engine, restarts, seed) + constructed
+    params, history, converged = _restarts(engine, starts, max_sweeps, sweep_tol, inner_maxfev)
+    return _result(engine, params, history, len(history) - 1, converged, residuals)

@@ -278,6 +278,22 @@ class TestVariationalCompress:
         _, rep_exact = compress(from_statevector(v), 2, METHOD_VARIATIONAL_SEEDED)
         assert abs(rep.error - rep_exact.error) < 1e-9
 
+    @pytest.mark.parametrize("cap", [2, 8])
+    def test_seeded_run_measures_the_canonical_form_once(self, monkeypatch, cap):
+        # the truncation that seeds the sweep trusts the check made just before it
+        scans, real = [], MatrixProductState.left_orthonormality_defect
+
+        def counted(chain):
+            scans.append(chain)
+            return real(chain)
+
+        target = gm_mps(GMSpec(4))
+        monkeypatch.setattr(MatrixProductState, "left_orthonormality_defect", counted)
+        compress(target, cap, METHOD_VARIATIONAL_SEEDED)
+        assert len(scans) == 1
+        svd_truncate_mps(target, cap)
+        assert len(scans) == 2
+
 
 class TestRegularizationScan:
     def test_row_count_and_grid(self):
@@ -318,15 +334,16 @@ class TestRegularizationScan:
             assert abs(report.error - floor) < 1e-12
 
     def test_truncates_once_per_cap(self, monkeypatch):
-        # the truncation row and the seed of the seeded row are one run
+        # the truncation row and the seed of the seeded row are one run; the
+        # seeded run truncates through _truncate, past the public check
         calls = []
-        real = compression.svd_truncate_mps
+        real = compression._truncate
 
         def counted(target, cap):
             calls.append(cap)
             return real(target, cap)
 
-        monkeypatch.setattr(compression, "svd_truncate_mps", counted)
+        monkeypatch.setattr(compression, "_truncate", counted)
         caps = [1, 2, 3, 4, 6]
         reports = regularization_scan(GMSpec(4), caps, [METHOD_SVD, METHOD_VARIATIONAL_SEEDED])
         assert calls == caps

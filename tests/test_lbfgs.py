@@ -5,6 +5,7 @@ import pytest
 
 from seqclone import lbfgs, sequential
 from seqclone.cloning import GMSpec, gm_state
+from test_sequential import descend
 
 
 def ignore(cost):
@@ -126,6 +127,25 @@ class TestMinimize:
         assert res.status == 2 and res.nit == 0
         assert np.array_equal(res.x, x0) and res.fun == float(x0 @ x0)
 
+    def test_callback_returning_true_stops_the_run(self):
+        seen = []
+
+        def below(cost):
+            seen.append(cost)
+            return cost <= 1e-3
+
+        res = lbfgs.minimize(rosen, np.array([-1.2, 1.0]), ftol=0.0, maxfun=10_000, callback=below)
+        assert (res.status, res.message) == (0, lbfgs.STOPPED)
+        assert res.fun == seen[-1] <= 1e-3 < min(seen[:-1])
+        assert len(seen) == res.nit + 1
+        assert np.max(np.abs(res.x - 1.0)) > 1e-10  # stopped well before the minimum
+
+    def test_callback_can_stop_at_the_start(self):
+        x0 = np.array([-1.2, 1.0])
+        res = lbfgs.minimize(rosen, x0, ftol=0.0, maxfun=10_000, callback=lambda cost: True)
+        assert (res.status, res.message, res.nit, res.nfev) == (0, lbfgs.STOPPED, 0, 1)
+        assert np.array_equal(res.x, x0)
+
     def test_zero_gradient_start_is_converged(self):
         res = lbfgs.minimize(
             lambda x: (0.0, np.zeros_like(x)), np.ones(3), ftol=0.0, maxfun=10, callback=ignore
@@ -134,7 +154,8 @@ class TestMinimize:
 
 
 def test_synthesis_restart_matches_scipy_lbfgsb():
-    """The n = 3 ``xxz-synth`` restart takes scipy L-BFGS-B's iterations and evaluations."""
+    """The n = 3 aux-on global-search restart (``optimize_schedule``'s fallback
+    at seed 3) takes scipy L-BFGS-B's iterations and evaluations."""
     optimize = pytest.importorskip("scipy.optimize")
     runs = {}
 
@@ -157,9 +178,7 @@ def test_synthesis_restart_matches_scipy_lbfgsb():
     for name, run in (("own", lbfgs.minimize), ("scipy", scipy_run)):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sequential, "minimize", record(name, run))
-            results[name] = sequential.optimize_schedule(
-                target, 3, aux=True, restarts=1, seed=3, max_sweeps=60, inner_maxfev=300
-            )
+            results[name] = descend(target, 3, restarts=1, seed=3, max_sweeps=60, inner_maxfev=300)
     assert (runs["own"].nit, runs["own"].nfev) == (runs["scipy"].nit, runs["scipy"].nfev)
     assert runs["own"].status == runs["scipy"].status == 0
     assert abs(results["own"].fidelity - results["scipy"].fidelity) <= 1e-12

@@ -1,14 +1,18 @@
 """Tests for restricted-interaction sequential synthesis."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqclone import sequential
-from seqclone.cloning import GMSpec, KET_PLUS, gm_chain, gm_mps, gm_state
+from seqclone.cloning import (
+    GMSpec, KET_ONE, KET_PLUS, KET_ZERO, PureQubit, gm_chain, gm_mps, gm_state,
+)
 from seqclone.compression import METHOD_VARIATIONAL_SEEDED, compress
+from seqclone.errors import CanonicalFormError
 from seqclone.mps import MatrixProductState, from_statevector, norm, to_statevector
 from seqclone.sequential import (
     CouplingSchedule,
@@ -16,13 +20,24 @@ from seqclone.sequential import (
     StepCoupling,
     SynthesisResult,
     euler_zyz,
+    fit_step,
     optimize_schedule,
+    schedule_from_chain,
     sequential_generate,
     xxz_hamiltonian,
     xxz_unitary,
     _CostEngine,
+    _INNER_MAXFEV,
+    _MAX_SWEEPS,
+    _STEP_TOL,
+    _StepCost,
+    _SWEEP_TOL,
     _XXZ_TERMS,
     _chain_sites,
+    _polar,
+    _random_starts,
+    _restarts,
+    _result,
     _step_gate,
 )
 from test_linalg import random_complex
@@ -32,6 +47,19 @@ from test_mps import ragged_sites
 def random_state(rng, n):
     v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     return v / np.linalg.norm(v)
+
+
+def descend(target, n, restarts, seed, max_sweeps=_MAX_SWEEPS, sweep_tol=_SWEEP_TOL,
+            inner_maxfev=_INNER_MAXFEV):
+    """The aux-on global search alone: ``optimize_schedule``'s random restarts
+    through ``_descend``, without the constructive route."""
+    if not isinstance(target, MatrixProductState):
+        target = from_statevector(target)
+    engine = _CostEngine(target, True)
+    assert engine.n == n
+    starts = _random_starts(engine, restarts, seed)
+    params, history, converged = _restarts(engine, starts, max_sweeps, sweep_tol, inner_maxfev)
+    return _result(engine, params, history, len(history) - 1, converged)
 
 
 def hermitian_expm(h, scale=1.0):
@@ -412,30 +440,24 @@ class TestOptimizeSchedule:
     def test_one_optimizer_run_per_restart(self, monkeypatch):
         results = self.counting_minimize(monkeypatch)
         target = gm_state(GMSpec(2, KET_PLUS))
-        res = optimize_schedule(
-            target, 3, aux=True, restarts=1, seed=3, max_sweeps=60, inner_maxfev=300
-        )
+        res = descend(target, 3, restarts=1, seed=3, max_sweeps=60, inner_maxfev=300)
         assert len(results) == 1
         assert res.iterations == results[0].nit == len(res.cost_history) - 1
         assert results[0].status == 0 and "ftol" in results[0].message
         assert 1.0 - res.fidelity <= 1e-6
-        optimize_schedule(target, 3, aux=True, restarts=3, seed=3, max_sweeps=2)
+        descend(target, 3, restarts=3, seed=3, max_sweeps=2)
         assert len(results) == 4
 
     def test_spent_budget_is_not_converged(self):
         target = gm_state(GMSpec(2, KET_PLUS))
-        res = optimize_schedule(
-            target, 3, aux=True, restarts=1, seed=3, max_sweeps=1, inner_maxfev=1
-        )
+        res = descend(target, 3, restarts=1, seed=3, max_sweeps=1, inner_maxfev=1)
         assert res.converged is False
         assert res.iterations == len(res.cost_history) - 1
 
     def test_zero_sweep_tol_runs_until_the_cost_stops_falling(self, monkeypatch):
         results = self.counting_minimize(monkeypatch)
         target = gm_state(GMSpec(3, KET_PLUS))
-        res = optimize_schedule(
-            target, 5, aux=True, restarts=1, seed=5, max_sweeps=60, sweep_tol=0.0
-        )
+        res = descend(target, 5, restarts=1, seed=5, max_sweeps=60, sweep_tol=0.0)
         (run,) = results
         history = res.cost_history
         # no iteration that lowered the cost stopped the run, nor the budget:
@@ -470,3 +492,147 @@ class TestOptimizeSchedule:
         error = 1.0 - res.fidelity
         assert error >= report.error - 1e-12
         assert error - report.error <= 1e-6
+
+
+def random_columns(rng, rows, cols):
+    """A ``rows x cols`` matrix with orthonormal columns."""
+    q, _ = np.linalg.qr(random_complex(rng, rows, cols))
+    return q
+
+
+INPUTS = [KET_PLUS, KET_ZERO, KET_ONE, PureQubit(0.6, 0.8j)]
+
+
+class TestConstructive:
+    """The step-by-step route: the cap-2 chain fitted one step at a time."""
+
+    @pytest.mark.parametrize("rdim", [1, 2])
+    def test_step_gradient_matches_finite_differences(self, rdim):
+        # the gradient of 1/2 ||C - (W (x) I) v||^2 at the optimal W is
+        # -Re tr(W^H dK); a transposed dK fails this for rdim = 2
+        rng = np.random.default_rng(30 + rdim)
+        cost = _StepCost(random_complex(rng, 4, rdim), random_columns(rng, 2, rdim))
+        for _ in range(3):
+            params = np.concatenate([rng.uniform(-np.pi, np.pi, 2), rng.uniform(0, 2 * np.pi, 6)])
+            _, grad = cost(params)
+            fd = central_difference(lambda x: cost(x)[0], params)
+            assert np.max(np.abs(grad - fd)) < 1e-8
+
+    @pytest.mark.parametrize("rdim", [1, 2])
+    def test_step_columns_are_the_step_gates(self, rdim):
+        # C[:, r] = U (x[:, r] (x) |0>), and the residual is r - ||K||_*
+        rng = np.random.default_rng(40 + rdim)
+        v, x = random_columns(rng, 4, rdim), random_columns(rng, 2, rdim)
+        params = rng.uniform(0, 2 * np.pi, 8)
+        residual, _, w = _StepCost(v, x).evaluate(params)
+        u = _step_gate(params[:2], params[2:])
+        cols = u[:, 0::2] @ x
+        k = cols.reshape(2, -1) @ v.reshape(2, -1).conj().T
+        gauged = (w @ v.reshape(2, -1)).reshape(4, -1)
+        assert abs(residual - 0.5 * np.linalg.norm(cols - gauged) ** 2) <= 1e-14
+        assert abs(residual - (rdim - np.linalg.svd(k, compute_uv=False).sum())) <= 1e-13
+
+    def test_polar_factor_matches_svd(self):
+        rng = np.random.default_rng(50)
+        for _ in range(20):
+            k = random_complex(rng, 2, 2)
+            u, s, vh = np.linalg.svd(k)
+            w, nuclear = _polar(k)
+            assert abs(nuclear - s.sum()) <= 1e-13
+            assert np.max(np.abs(w - u @ vh)) <= 1e-13
+
+    def test_polar_factor_of_rank_one_matrix(self):
+        # the padded last step: K = a b^H has one singular value, and any
+        # phase on the orthogonal complement gives a polar factor
+        rng = np.random.default_rng(51)
+        for _ in range(20):
+            a, b = random_complex(rng, 2, 1), random_complex(rng, 2, 1)
+            k = a @ b.conj().T
+            u, s, vh = np.linalg.svd(k)
+            w, nuclear = _polar(k)
+            assert abs(nuclear - s[0]) <= 1e-13
+            assert np.max(np.abs(w.conj().T @ w - np.eye(2))) <= 1e-13
+            assert np.max(np.abs(w @ vh[0].conj() - u[:, 0])) <= 1e-13
+            assert abs(np.trace(w.conj().T @ k) - nuclear) <= 1e-13
+        w, nuclear = _polar(np.zeros((2, 2), dtype=complex))
+        assert nuclear == 0.0 and np.array_equal(w, np.eye(2))
+
+    def test_fit_step_reaches_a_reachable_isometry(self):
+        # columns of a step gate are reachable: the fit gets them back to 1e-20
+        rng = np.random.default_rng(52)
+        x = random_columns(rng, 2, 2)
+        v = _step_gate(rng.uniform(-1, 1, 2), rng.uniform(0, 2 * np.pi, 6))[:, 0::2] @ x
+        w = random_columns(rng, 2, 2)
+        params, residual, gauge, iterations = fit_step(
+            (w @ v.reshape(2, -1)).reshape(4, 2), x, np.random.default_rng(0)
+        )
+        assert residual <= 1e-20 and iterations > 0
+        cols = _step_gate(params[:2], params[2:])[:, 0::2] @ x
+        assert np.max(np.abs(cols - (gauge @ w @ v.reshape(2, -1)).reshape(4, 2))) <= 1e-9
+
+    @pytest.mark.parametrize("qubit", INPUTS, ids=["plus", "zero", "one", "complex"])
+    def test_reaches_the_bond_two_optimum(self, qubit):
+        for m in range(2, 9):
+            spec = GMSpec(m, qubit)
+            res = optimize_schedule(gm_chain(spec), 2 * m - 1, aux=True, restarts=1, seed=0)
+            _, report = compress(gm_mps(spec), 2, METHOD_VARIATIONAL_SEEDED)
+            assert abs((1.0 - res.fidelity) - report.error) <= 1e-12
+            assert res.step_residuals.shape == (2 * m - 1,)
+            assert res.step_residuals.max() <= 1e-12
+            assert res.converged is True
+            assert res.cost_history == [pytest.approx(2.0 * (1.0 - res.fidelity), abs=1e-15)]
+
+    def test_ninety_nine_qubits(self):
+        # the global search stops at F = 4.5e-17 here: its random start sees no gradient
+        start = time.perf_counter()
+        res = optimize_schedule(gm_chain(GMSpec(50)), 99, aux=True, restarts=1)
+        elapsed = time.perf_counter() - start
+        _, report = compress(gm_mps(GMSpec(50)), 2, METHOD_VARIATIONAL_SEEDED)
+        assert abs((1.0 - res.fidelity) - report.error) <= 1e-12
+        assert res.converged is True
+        assert elapsed < 5.0
+
+    def test_residuals_certify_the_chain(self):
+        # 1 - F against the chain is at most (sum_k sqrt(residual_k))^2, also
+        # where the class falls short, as on a random complex chain
+        rng = np.random.default_rng(53)
+        for target in (from_statevector(random_state(rng, 5)), gm_chain(GMSpec(4))):
+            chain = sequential._bond_two_chain(target)
+            schedule, residuals, _ = schedule_from_chain(chain, seed=2)
+            cost, _ = _CostEngine(chain, True).cost_and_grad(sequential._params(schedule))
+            assert cost / 2.0 <= np.sqrt(residuals).sum() ** 2 + 1e-15
+
+    def test_random_target_falls_back_and_is_never_worse(self, monkeypatch):
+        # a random complex bond-2 chain is out of the class's reach: the
+        # constructed schedule joins the random restarts as one more start
+        target = from_statevector(random_state(np.random.default_rng(54), 3))
+        budget = dict(max_sweeps=2, inner_maxfev=50)
+        restarts_alone = descend(target, 3, restarts=2, seed=4, **budget)
+        starts = []
+        real = sequential._restarts
+
+        def recorded(engine, runs, *args):
+            starts.extend(runs)
+            return real(engine, runs, *args)
+
+        monkeypatch.setattr(sequential, "_restarts", recorded)
+        res = optimize_schedule(target, 3, aux=True, restarts=2, seed=4, **budget)
+        assert res.step_residuals.max() > _STEP_TOL
+        assert len(starts) == 3
+        engine = _CostEngine(target, True)
+        for drawn, start in zip(_random_starts(engine, 2, 4), starts):
+            assert np.array_equal(drawn, start)
+        assert 1.0 - res.fidelity <= 1.0 - restarts_alone.fidelity
+        assert res.iterations == len(res.cost_history) - 1
+
+    def test_aux_off_has_no_constructive_route(self):
+        res = optimize_schedule(gm_chain(GMSpec(2, KET_PLUS)), 3, aux=False, seed=0)
+        assert res.step_residuals is None
+
+    def test_schedule_from_chain_validation(self):
+        with pytest.raises(ValueError, match="bond 2"):
+            schedule_from_chain(from_statevector(random_state(np.random.default_rng(55), 5)))
+        chain = gm_mps(GMSpec(2))
+        chain.sites[1] = chain.sites[1] * 2.0
+        with pytest.raises(CanonicalFormError, match="constructive synthesis"):
+            schedule_from_chain(chain)
