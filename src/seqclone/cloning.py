@@ -130,8 +130,7 @@ def gm_mps(spec: GMSpec) -> mps_mod.MatrixProductState:
     decomposition, so the bonds are those of ``from_statevector(gm_state(spec), RANK_RTOL)``.
     """
     sites = gm_chain(spec).sites
-    for k in range(len(sites) - 1, 0, -1):
-        mps_mod.shift_centre(sites, k, -1)
+    mps_mod.canonicalize(sites, -1)
     for k in range(len(sites) - 1):
         sites[k], carry = mps_mod.split_site(sites[k].transpose(1, 0, 2), RANK_RTOL)
         sites[k + 1] = np.einsum("lr,irt->ilt", carry, sites[k + 1])

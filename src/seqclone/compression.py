@@ -254,10 +254,7 @@ def variational_compress(
         target.sites[0] = target.sites[0] / nrm
     n = target.n_qubits
     if not target.canonical:
-        for k in range(n - 1):
-            mps_mod.shift_centre(target.sites, k, +1)
-        # a norm within 1e-10 of 1 can still leave a last-site defect above CANONICAL_TOL
-        target.sites[-1] = target.sites[-1] / np.linalg.norm(target.sites[-1])
+        mps_mod.canonicalize(target.sites, +1, normalize=True)
 
     seed_report = None
     if method == METHOD_VARIATIONAL_SEEDED:
@@ -272,8 +269,7 @@ def variational_compress(
             return trial, report
     else:
         trial = _random_trial(n, bond_cap, np.random.default_rng(seed))
-        for k in range(n - 1, 0, -1):
-            mps_mod.shift_centre(trial.sites, k, -1)
+        mps_mod.canonicalize(trial.sites, -1)
 
     work = _SweepWorkspace(target.sites, trial.sites)
     sweep_errors: list[float] = []

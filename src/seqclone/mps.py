@@ -135,6 +135,23 @@ def shift_centre(sites: list[np.ndarray], k: int, step: int) -> None:
         sites[k - 1] = sites[k - 1] @ r.T
 
 
+def canonicalize(sites: list[np.ndarray], step: int, normalize: bool = False) -> None:
+    """Carry the centre across the whole chain by :func:`shift_centre`.
+
+    ``step = +1`` walks left to right and leaves every site but the last
+    left-orthonormal, ``step = -1`` walks right to left and leaves every
+    site but the first right-orthonormal.  With ``normalize`` the site the
+    walk ends on is divided by its norm: a chain whose norm is only within
+    1e-10 of 1 can still leave a defect above :data:`CANONICAL_TOL` there.
+    """
+    n = len(sites)
+    for k in range(n - 1) if step > 0 else range(n - 1, 0, -1):
+        shift_centre(sites, k, step)
+    if normalize:
+        end = n - 1 if step > 0 else 0
+        sites[end] = sites[end] / np.linalg.norm(sites[end])
+
+
 def split_site(block: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """SVD-split a ``(bond, 2, rest)`` block into a left-orthonormal site and
     ``S V^dagger``, dropping singular values at or below ``rank_tol`` times the largest."""

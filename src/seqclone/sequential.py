@@ -36,11 +36,13 @@ couplings:
   the only route with rotations off: one L-BFGS run on all parameters per
   random restart, on the exact gradient from two transfer passes, so a
   cost-and-gradient evaluation costs ``O(n D^2)`` for a target of bond
-  ``D`` (see :class:`_CostEngine`).  The step gates and their derivatives
-  are built for all steps in one batch.
+  ``D`` (see :class:`_CostEngine`).
 
-Both use :mod:`seqclone.lbfgs`, the unbounded case of L-BFGS-B.  Only numpy
-is needed: no part of the package imports scipy.
+Both use :mod:`seqclone.lbfgs`, the unbounded case of L-BFGS-B, and one
+kernel, :func:`_step_columns`: since each qubit enters in ``|0>``, it builds
+only the columns ``|a_in, 0>`` of the step unitaries and their derivatives,
+for one step or all steps in one batch, rotations on or off.  Only numpy is
+needed: no part of the package imports scipy.
 
 Layout conventions follow :mod:`seqclone.mps`: the register reads
 ``i_n ... i_1``, most significant first, and step ``k`` emits qubit ``k``,
@@ -59,7 +61,7 @@ import numpy as np
 from .compression import METHOD_VARIATIONAL_SEEDED, compress
 from .errors import check_fidelity
 from .lbfgs import minimize
-from .mps import MatrixProductState, from_statevector, norm as mps_norm, shift_centre
+from .mps import MatrixProductState, canonicalize, from_statevector, norm as mps_norm
 
 PAULI = (
     np.eye(2, dtype=np.complex128),
@@ -82,8 +84,9 @@ _STEP_TOL = 1e-12
 _STEP_STARTS = 20
 _STEP_MAXFUN = 2000
 
-# the ancilla starts in |0>
-_ANCILLA_START = np.array([1.0, 0.0], dtype=np.complex128)
+# |0>: the ancilla's start, and each qubit's before its step
+_ZERO = np.array([1.0, 0.0], dtype=np.complex128)
+_IDENTITY = np.eye(2, dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -153,15 +156,6 @@ class SynthesisResult:
         check_fidelity(self.fidelity)
 
 
-def euler_zyz(theta, phi, lam) -> np.ndarray:
-    """SU(2) rotation ``Rz(phi) Ry(theta) Rz(lam)``, global phase dropped.
-
-    The angles broadcast: arrays of shape ``S`` give rotations of shape
-    ``S + (2, 2)``.
-    """
-    return _euler_zyz(np.stack(np.broadcast_arrays(theta, phi, lam), axis=-1))
-
-
 def xxz_hamiltonian(h1: float, h2: float) -> np.ndarray:
     """``h1 (XX + YY) + h2 ZZ`` on the (ancilla, qubit) pair, ancilla first."""
     return (
@@ -176,8 +170,8 @@ def xxz_unitary(h1, h2) -> np.ndarray:
     The generator is block diagonal: ``|00>`` and ``|11>`` pick up the phase
     ``exp(-1j h2)`` while the flip-flop block rotates by ``2 h1`` under an
     ``exp(+1j h2)`` phase.  Matches the eigendecomposition route to machine
-    precision at a fraction of the cost.  Arrays of couplings broadcast
-    like the angles of :func:`euler_zyz`.
+    precision at a fraction of the cost.  Arrays of couplings of shape ``S``
+    broadcast to unitaries of shape ``S + (4, 4)``.
     """
     edge = np.exp(-1j * np.asarray(h2, dtype=float))
     mid = edge.conj()
@@ -196,20 +190,24 @@ _XXZ_TERMS = np.array([xxz_hamiltonian(1.0, 0.0), xxz_hamiltonian(0.0, 1.0)])
 
 # ZYZ rotation entries, flattened row-major: entry e is
 # cos(theta/2 + _ZYZ_SHIFTS[e]) exp(angles @ _ZYZ_PHASES[:, e]), so
-# [ct, -st, st, ct] times [e^{-i(phi+lam)/2}, e^{-i(phi-lam)/2}, and conjugates]
+# [ct, -st, st, ct] times [e^{-i(phi+lam)/2}, e^{-i(phi-lam)/2}, and conjugates];
+# 1j times the real product with _ZYZ_TURNS gives the exponent's bits at a third of the cost
 _ZYZ_SHIFTS = np.array([0.0, 0.5, -0.5, 0.0]) * np.pi
 _ZYZ_PHASES = -0.5j * np.array([[0, 0, 0, 0], [1, 1, -1, -1], [1, -1, 1, -1]])
+_ZYZ_TURNS = _ZYZ_PHASES.imag.copy()
 
 
-def _euler_zyz(angles, jac=False):
-    """:func:`euler_zyz` of ``(theta, phi, lam)`` along the last axis.
+def euler_zyz(angles, jac=False):
+    """SU(2) rotations ``Rz(phi) Ry(theta) Rz(lam)``, global phase dropped.
 
-    With ``jac`` the result is ``(rot, drot)``, ``drot`` of shape
-    ``S + (3, 2, 2)`` holding the derivatives by theta, phi and lam.
+    ``angles`` holds ``(theta, phi, lam)`` along its last axis: a shape
+    ``S + (3,)`` gives rotations of shape ``S + (2, 2)``.  With ``jac`` the
+    result is ``(rot, drot)``, ``drot`` of shape ``S + (3, 2, 2)`` holding
+    the derivatives by theta, phi and lam.
     """
     angles = np.asarray(angles, dtype=float)
     shape = angles.shape[:-1] + (2, 2)
-    phases = np.exp(angles @ _ZYZ_PHASES)
+    phases = np.exp(1j * (angles @ _ZYZ_TURNS))
     half = 0.5 * angles[..., :1] + _ZYZ_SHIFTS
     rot = np.cos(half) * phases
     if not jac:
@@ -220,60 +218,58 @@ def _euler_zyz(angles, jac=False):
     return rot.reshape(shape), drot.reshape(shape[:-2] + (3, 2, 2))
 
 
-def _kron_pair(a, b) -> np.ndarray:
-    """``np.kron(a, b)`` of 2x2 matrices, batched over leading axes.
+def _step_columns(rows, ancilla_in=_IDENTITY, jac=False):
+    """The columns ``|a_in, 0>`` of the step unitaries, built in one batch.
 
-    ``np.kron`` costs several times more per call, and this runs for every
-    rotation pair of every cost evaluation.
+    Each qubit enters its step in ``|0>``, so only the columns
+    ``C[(a_out, i), r] = U (ancilla_in[:, r] (x) |0>)`` of a step unitary
+    ``U`` count, and the whole ``U`` is never built.  ``rows`` has shape
+    ``S + (8,)``, ``S`` the step axes (``()`` for one step), holding the
+    couplings ``(h1, h2)`` and then the ancilla and the qubit ZYZ angles of
+    the local rotations applied before the entangler, or ``S + (2,)`` for
+    the couplings alone.  ``ancilla_in`` is ``2 x r``.  ``C`` has shape
+    ``S + (4, r)``; with ``jac`` the result is ``(C, dC)``, ``dC[..., p, :,
+    :]`` the derivative by the ``p``-th entry of a row.
+
+    ``C = E(h1, h2) (R_a ancilla_in (x) R_q |0>)``: the angles enter
+    through the pair inputs alone, and the couplings give ``-1j G_j C``.
     """
-    k = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return k.reshape(k.shape[:-4] + (4, 4))
+    steps, rdim = rows.shape[:-1], ancilla_in.shape[1]
+    aux = rows.shape[-1] == 8
+    u = xxz_unitary(rows[..., 0], rows[..., 1])
+    # the pair inputs are y[:, r] (x) q, with q laid out as S + (1, 2, 1) on the axes (b, j, r)
+    y, q = ancilla_in, _ZERO[None, :, None]
+    if aux:
+        rots, drots = euler_zyz(rows[..., 2:].reshape(steps + (2, 3)), jac=True)
+        y, q = rots[..., 0, :, :] @ ancilla_in, rots[..., 1, None, :, :1]
+    # the pair inputs, then their derivatives by the six angles
+    inputs = np.empty(steps + (7 if aux and jac else 1, 2, 2, rdim), dtype=np.complex128)
+    inputs[..., 0, :, :, :] = y[..., :, None, :] * q
+    if aux and jac:
+        dy = drots[..., 0, :, :, :] @ ancilla_in
+        inputs[..., 1:4, :, :, :] = dy[..., None, :] * q[..., None, :, :, :]
+        inputs[..., 4:, :, :, :] = y[..., None, :, None, :] * drots[..., 1, :, None, :, :1]
+    cols = u[..., None, :, :] @ inputs.reshape(steps + (-1, 4, rdim))
+    c = cols[..., 0, :, :]
+    if not jac:
+        return c
+    dc = np.concatenate([-1j * (_XXZ_TERMS @ c[..., None, :, :]), cols[..., 1:, :, :]], axis=-3)
+    return c, dc
 
 
-def _step_gate(coupling, aux_angles=None, jac=False):
-    """Pair unitaries of the steps, ancilla first, built in one batch.
-
-    ``coupling`` has shape ``S + (2,)`` holding ``(h1, h2)``, with ``S``
-    the step axes (``()`` for one step); ``aux_angles``, when given,
-    has shape ``S + (6,)`` and holds the ancilla then the qubit ZYZ angles
-    of the local rotations applied before the entangler.  The result ``U``
-    has shape ``S + (4, 4)``; with ``jac`` it is ``(U, dU)``, ``dU[..., i,
-    :, :]`` the derivative by the ``i``-th parameter in the order
-    couplings, ancilla angles, qubit angles.
-    """
-    coupling = np.asarray(coupling, dtype=float)
-    u = xxz_unitary(coupling[..., 0], coupling[..., 1])
-    du = -1j * _XXZ_TERMS @ u[..., None, :, :] if jac else None
-    if aux_angles is not None:
-        # both legs' rotations in one batch: axis -3 is (ancilla, qubit)
-        angles = np.reshape(aux_angles, np.shape(aux_angles)[:-1] + (2, 3))
-        if jac:
-            rots, drots = _euler_zyz(angles, jac=True)
-        else:
-            rots = _euler_zyz(angles)
-        rot_a, rot_q = rots[..., 0, :, :], rots[..., 1, :, :]
-        local = _kron_pair(rot_a, rot_q)
-        if jac:
-            dlocal = np.concatenate([
-                _kron_pair(drots[..., 0, :, :, :], rot_q[..., None, :, :]),
-                _kron_pair(rot_a[..., None, :, :], drots[..., 1, :, :, :]),
-            ], axis=-3)
-            du = np.concatenate(
-                [du @ local[..., None, :, :], u[..., None, :, :] @ dlocal], axis=-3
-            )
-        u = u @ local
-    return (u, du) if jac else u
+def _chain_sites(cols) -> np.ndarray:
+    """Bond-2 sites ``A^i[a_out, a_in] = C[(a_out, i), a_in]`` of the step
+    columns ``(n, 4, 2)``, last step first, of shape ``(n, 2, 2, 2)`` and
+    indexed ``(i, a_out, a_in)``."""
+    return cols[::-1].reshape(-1, 2, 2, 2).transpose(0, 2, 1, 3)
 
 
-def _chain_sites(gates) -> np.ndarray:
-    """Bond-2 sites of step gates ``(n, 4, 4)``, last step first.
-
-    ``A^i[a_out, a_in] = U[(a_out, i), (a_in, 0)]``: step ``k`` emits qubit
-    ``k`` onto a blank register, so only the columns ``|a_in, 0>`` count.
-    The result has shape ``(n, 2, 2, 2)``, indexed ``(i, a_out, a_in)``.
-    """
-    n = len(gates)
-    return gates[::-1, :, 0::2].reshape(n, 2, 2, 2).transpose(0, 2, 1, 3)
+def _joint_chain(sites) -> MatrixProductState:
+    """The joint chain of the register ``sites``: the ancilla's site in
+    front, the ancilla's start ``|0>`` folded into the last site."""
+    sites = list(sites)
+    sites[-1] = sites[-1] @ _ZERO[:, None]
+    return MatrixProductState(sites=[np.eye(2, dtype=np.complex128).reshape(2, 1, 2), *sites])
 
 
 def sequential_generate(schedule: CouplingSchedule, n: int) -> MatrixProductState:
@@ -289,14 +285,16 @@ def sequential_generate(schedule: CouplingSchedule, n: int) -> MatrixProductStat
         raise ValueError(
             f"schedule has {len(schedule.steps)} steps but the register has {n} qubits"
         )
-    angles = None
-    if schedule.aux_enabled:
-        angles = np.hstack([schedule.aux_ancilla, schedule.aux_qubit])
-    gates = _step_gate([(s.h1, s.h2) for s in schedule.steps], aux_angles=angles)
-    sites = list(_chain_sites(gates))
-    sites[-1] = sites[-1] @ _ANCILLA_START[:, None]
-    ancilla = np.eye(2, dtype=np.complex128).reshape(2, 1, 2)
-    return MatrixProductState(sites=[ancilla, *sites])
+    return _joint_chain(_chain_sites(_step_columns(_params(schedule))))
+
+
+def _params(schedule: CouplingSchedule) -> np.ndarray:
+    """The parameter rows of ``schedule``, one per step: ``(h1, h2)``, then
+    with ``aux_enabled`` the ancilla and the qubit angles."""
+    couplings = np.array([(s.h1, s.h2) for s in schedule.steps], dtype=float)
+    if not schedule.aux_enabled:
+        return couplings
+    return np.hstack([couplings, schedule.aux_ancilla, schedule.aux_qubit])
 
 
 # --- optimization -------------------------------------------------------------
@@ -321,10 +319,9 @@ class _CostEngine:
     def param_count(self):
         return self.n * self.block_size
 
-    def gates(self, params, jac=False):
-        """All ``n`` step gates (with their derivatives when ``jac``)."""
-        rows = params.reshape(self.n, self.block_size)
-        return _step_gate(rows[:, :2], rows[:, 2:] if self.aux else None, jac)
+    def columns(self, params, jac=False):
+        """The step columns of all ``n`` steps (with their derivatives when ``jac``)."""
+        return _step_columns(params.reshape(self.n, self.block_size), jac=jac)
 
     def right_pass(self, sites):
         """Right environments of the generated ``sites`` and the ancilla vector ``w``.
@@ -334,7 +331,7 @@ class _CostEngine:
         ``sum_i A^i R T^i{dagger}`` site by site, ending ``2 x 1`` on the
         target's left edge as ``w``; ``envs[j]`` is ``R`` right of site ``j``.
         """
-        env = _ANCILLA_START[:, None]
+        env = _ZERO[:, None]
         envs = [None] * self.n
         for j in range(self.n - 1, -1, -1):
             envs[j] = env
@@ -348,12 +345,12 @@ class _CostEngine:
         seeded with the ``2 x 1`` column ``E = conj(w)`` carries
         ``E -> sum_i A^i{T} E conj(T^i)`` and meets each ``R_j`` in the
         weights ``pull_j^i = E conj(T^i) R_j^T``, so ``w^H dw = <pull_j, dA_j>``
-        with ``dA_j`` the columns ``|a_in, 0>`` of ``dU``.  Then
+        with ``dA_j`` the sites of the column derivatives ``dC``.  Then
         ``dF = Re(w^H dw) / F``, taken as zero at ``F = 0``.
         """
         n = self.n
-        u, du = self.gates(params, jac=True)
-        sites = _chain_sites(u)
+        c, dc = self.columns(params, jac=True)
+        sites = _chain_sites(c)
         envs, w = self.right_pass(sites)
         f = float(np.linalg.norm(w))
         if f == 0.0:
@@ -364,9 +361,9 @@ class _CostEngine:
             z = env @ self._conj[j]
             pulls[j] = z @ envs[j].T
             env = sites[j].reshape(4, 2).T @ z.reshape(4, -1)
-        # site j is step n - j; order the weights like dU's rows (a_out, i) and column a_in
+        # site j is step n - j; order the weights like dC's rows (a_out, i) and column a_in
         weights = pulls[::-1].transpose(0, 2, 1, 3).reshape(n, 8, 1)
-        grad = (du[..., 0::2].reshape(n, self.block_size, 8) @ weights).real
+        grad = (dc.reshape(n, self.block_size, 8) @ weights).real
         return 2.0 * (1.0 - f), (-2.0 / f) * grad.reshape(-1)
 
 
@@ -433,16 +430,16 @@ def _result(engine: _CostEngine, params, history, iterations, converged, residua
 
     ``history`` None stands for the cost of ``params`` alone.
     """
-    n = engine.n
-    schedule = _schedule_of(params.reshape(n, engine.block_size), engine.aux)
-    _, w = engine.right_pass(_chain_sites(engine.gates(params)))
+    schedule = _schedule_of(params.reshape(engine.n, engine.block_size), engine.aux)
+    sites = _chain_sites(engine.columns(params))
+    _, w = engine.right_pass(sites)
     f = float(np.linalg.norm(w))
     final_ancilla = w / f if f > 0 else w
     if history is None:
         history = [2.0 * (1.0 - f)]
     f = min(f, 1.0)  # rounding can lift an exact preparation just above 1; NaN stays
     return SynthesisResult(
-        generated=sequential_generate(schedule, n),
+        generated=_joint_chain(sites),
         fidelity=f,
         optimal_phi_final=final_ancilla,
         iterations=iterations,
@@ -480,21 +477,19 @@ class _StepCost:
 
     ``v`` is ``4 x r`` with rows ``(a_out, i)``; ``ancilla_in`` (``2 x r``,
     orthonormal columns) holds the ancilla states that enter the step.  The
-    step's columns ``C[:, r] = U (ancilla_in[:, r] (x) |0>)`` are
-    ``E(h1, h2) (R_a ancilla_in[:, r] (x) R_q |0>)``, built with the
-    derivatives by the 8 parameters (couplings, ancilla angles, qubit angles)
-    and never the whole ``U``.  With ``K = sum_{i,r} C[(., i), r]
-    v[(., i), r]^H`` and its polar factor ``W``, the best ancilla gauge, the
-    residual is ``1/2 ||C - (W (x) I) v||^2``, equal to ``r - ||K||_*``.  It
-    is computed as the norm of the difference, which keeps its digits below
-    1e-16, where ``r - ||K||_*`` stalls near 1e-14.  Its gradient is
-    ``-Re tr(W^H dK)``, since ``W`` is optimal and its own change drops out;
-    it is taken as ``Re <C - (W (x) I) v, dC>``, the same because the
-    columns keep their norm.
+    step's columns ``C[:, r] = U (ancilla_in[:, r] (x) |0>)`` and their
+    derivatives by the 8 parameters come from :func:`_step_columns`.  With
+    ``K = sum_{i,r} C[(., i), r] v[(., i), r]^H`` and its polar factor
+    ``W``, the best ancilla gauge, the residual is
+    ``1/2 ||C - (W (x) I) v||^2``, equal to ``r - ||K||_*``.  It is computed
+    as the norm of the difference, which keeps its digits below 1e-16, where
+    ``r - ||K||_*`` stalls near 1e-14.  Its gradient is ``-Re tr(W^H dK)``,
+    since ``W`` is optimal and its own change drops out; it is taken as
+    ``Re <C - (W (x) I) v, dC>``, the same because the columns keep their
+    norm.
     """
 
     def __init__(self, v, ancilla_in):
-        self.rdim = v.shape[1]
         self.rows = v.reshape(2, -1)  # (a_out, (i, r))
         self.rows_h = self.rows.conj().T
         self.ancilla_in = ancilla_in
@@ -504,20 +499,9 @@ class _StepCost:
 
     def evaluate(self, p):
         """``(residual, gradient, W)`` at the parameters ``p``."""
-        u = xxz_unitary(p[0], p[1])
-        rots, drots = _euler_zyz(p[2:].reshape(2, 3), jac=True)
-        y, dy = rots[0] @ self.ancilla_in, drots[0] @ self.ancilla_in
-        q, dq = rots[1][:, 0], drots[1][:, :, 0]
-        # the pair inputs y[:, r] (x) q and their derivatives, indexed (b, j, r)
-        inputs = np.empty((7, 2, 2, self.rdim), dtype=np.complex128)
-        inputs[0] = y[:, None, :] * q[:, None]
-        inputs[1:4] = dy[:, :, None, :] * q[:, None]
-        inputs[4:] = y[:, None, :] * dq[:, None, :, None]
-        cols = u @ inputs.reshape(7, 4, self.rdim)
-        c = cols[0]
+        c, dc = _step_columns(p, self.ancilla_in, jac=True)
         w, _ = _polar(c.reshape(2, -1) @ self.rows_h)
         diff = c - (w @ self.rows).reshape(4, -1)
-        dc = np.concatenate([-1j * (_XXZ_TERMS @ c), cols[1:]])
         grad = (dc.reshape(8, -1) @ diff.reshape(-1).conj()).real
         return 0.5 * float(np.vdot(diff, diff).real), grad, w
 
@@ -600,17 +584,8 @@ def schedule_from_chain(chain: MatrixProductState, seed: int = 0):
 def _bond_two_chain(target: MatrixProductState) -> MatrixProductState:
     """The seeded cap-2 compression of ``target``, left-canonical and normalized."""
     chain, _ = compress(target, 2, METHOD_VARIATIONAL_SEEDED)
-    sites = chain.sites
-    for k in range(len(sites) - 1):
-        shift_centre(sites, k, +1)
-    sites[-1] = sites[-1] / np.linalg.norm(sites[-1])
+    canonicalize(chain.sites, +1, normalize=True)
     return chain
-
-
-def _params(schedule: CouplingSchedule) -> np.ndarray:
-    """The flat aux-on parameters of ``schedule``, one row per step."""
-    couplings = [(s.h1, s.h2) for s in schedule.steps]
-    return np.hstack([couplings, schedule.aux_ancilla, schedule.aux_qubit]).reshape(-1)
 
 
 def optimize_schedule(
@@ -687,7 +662,7 @@ def optimize_schedule(
     constructed, residuals = [], None
     if aux:
         schedule, residuals, iterations = schedule_from_chain(_bond_two_chain(target), seed)
-        constructed = [_params(schedule)]
+        constructed = [_params(schedule).reshape(-1)]
         if residuals.max() <= _STEP_TOL:
             return _result(engine, constructed[0], None, iterations, True, residuals)
     starts = _random_starts(engine, restarts, seed) + constructed
