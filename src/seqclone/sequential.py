@@ -30,8 +30,11 @@ couplings:
   its step must realize up to a unitary gauge on the ancilla.
   :func:`fit_step` fits the step's 8 parameters to it by a small L-BFGS
   run, and the best gauge, a closed-form 2x2 polar factor, carries on to
-  the next site (:func:`schedule_from_chain`).  The step residuals certify
-  the result: near 0, the schedule prepares the bond-2 optimum.
+  the next site (:func:`schedule_from_chain`).  Each fit starts where the
+  previous one ended, its ancilla rotation re-expressed for the new gauge
+  through :func:`zyz_angles`; fixed Kronecker points, not random draws,
+  serve as fallback starts.  The step residuals certify the result: near
+  0, the schedule prepares the bond-2 optimum.
 * **By global search**, the fallback when a residual stays above 1e-12 and
   the only route with rotations off: one L-BFGS run on all parameters per
   random restart, on the exact gradient from two transfer passes, so a
@@ -78,8 +81,12 @@ _INNER_MAXFEV = 500
 
 # constructive route: a step fit stops once its residual is at most
 # _STEP_STOP, and it certifies the step at _STEP_TOL; each step gets up to
-# _STEP_STARTS runs of at most _STEP_MAXFUN evaluations
-_STEP_STOP = 1e-20
+# _STEP_STARTS runs of at most _STEP_MAXFUN evaluations.  A residual r leaves
+# the carried gauge off by about sqrt(r), and the next step must absorb that
+# tilt in its ancilla angles, where theta near 0 hides its phase: at a stop
+# of 1e-20 the |0> and |1> cloners' fits stalled at 1e-20 to 5e-16, at
+# 1e-24 every step ends at most 1e-20
+_STEP_STOP = 1e-24
 _STEP_TOL = 1e-12
 _STEP_STARTS = 20
 _STEP_MAXFUN = 2000
@@ -216,6 +223,27 @@ def euler_zyz(angles, jac=False):
     drot = rot[..., None, :] * _ZYZ_PHASES
     drot[..., 0, :] = -0.5 * np.sin(half) * phases
     return rot.reshape(shape), drot.reshape(shape[:-2] + (3, 2, 2))
+
+
+def zyz_angles(u) -> np.ndarray:
+    """ZYZ angles ``(theta, phi, lam)`` of the 2x2 unitaries ``u``, the
+    inverse of :func:`euler_zyz` up to a global phase.
+
+    ``u`` of shape ``S + (2, 2)`` gives angles of shape ``S + (3,)``, with
+    ``theta`` in ``[0, pi]``.  The phase ``sqrt(det u)`` is divided out,
+    leaving ``[[a, -conj(b)], [b, conj(a)]]`` with ``a = cos(theta/2)
+    e^{-i(phi+lam)/2}`` and ``b = sin(theta/2) e^{i(phi-lam)/2}``; each of
+    ``a`` and ``b`` is read from both of its entries.  At ``theta = 0`` only
+    ``phi + lam`` is fixed, and at ``theta = pi`` only ``phi - lam``; the
+    free half is then 0.
+    """
+    u = np.asarray(u, dtype=np.complex128)
+    det = u[..., 0, 0] * u[..., 1, 1] - u[..., 0, 1] * u[..., 1, 0]
+    su = u * np.exp(-0.5j * np.angle(det))[..., None, None]
+    a = 0.5 * (su[..., 0, 0] + su[..., 1, 1].conj())
+    b = 0.5 * (su[..., 1, 0] - su[..., 0, 1].conj())
+    arg_a, arg_b = np.angle(a), np.angle(b)
+    return np.stack([2.0 * np.arctan2(np.abs(b), np.abs(a)), arg_b - arg_a, -arg_a - arg_b], -1)
 
 
 def _step_columns(rows, ancilla_in=_IDENTITY, jac=False):
@@ -510,7 +538,42 @@ def _fit_done(residual):
     return residual <= _STEP_STOP
 
 
-def fit_step(v, ancilla_in, rng):
+def _kronecker_increments(dim):
+    """Increments ``alpha_j = g^-(j+1)`` of Roberts' additive recurrence in
+    ``dim`` dimensions, ``g`` the positive root of ``x^(dim+1) = x + 1``,
+    as fractions of ``2^64``."""
+    g = 2.0
+    for _ in range(100):
+        g = (1.0 + g) ** (1.0 / (dim + 1))
+    return [round(g ** -(j + 1) * 2.0**64) for j in range(dim)]
+
+
+_KRONECKER = _kronecker_increments(8)
+
+
+def _fallback_start(seed, k):
+    """Start ``k`` of a step fit's fallback runs under ``seed``: point
+    ``m = 20 seed + k + 1`` of the Kronecker sequence ``frac(1/2 + m alpha)``
+    over the 8 parameters, the couplings scaled to ``[-pi, pi)`` and the
+    angles to ``[0, 2 pi)``.  Integer steps keep every seed exact, and no
+    random generator is needed."""
+    m = seed * _STEP_STARTS + k + 1
+    u = np.array([((1 << 63) + m * a) % (1 << 64) for a in _KRONECKER]) / 2.0**64
+    return 2.0 * np.pi * u - np.pi * (np.arange(8) < 2)
+
+
+def _warm_start(row, gauge_before, gauge_after):
+    """The row a step fit starts from: the previous step's ``row``, with its
+    ancilla rotation re-expressed as ``R_a gauge_before gauge_after^H`` so
+    that on the ancilla states ``gauge_after`` the step's pair input is the
+    previous step's on ``gauge_before``.  The couplings and the qubit angles
+    stay; :func:`zyz_angles` drops a global phase, which the fit's polar
+    gauge takes up."""
+    rot = euler_zyz(row[2:5]) @ gauge_before @ gauge_after.conj().T
+    return np.concatenate([row[:2], zyz_angles(rot), row[5:]])
+
+
+def fit_step(v, ancilla_in, start=None, seed=0):
     """Fit one aux-on step to the step isometry ``v``; returns
     ``(params, residual, gauge, iterations)``.
 
@@ -523,17 +586,19 @@ def fit_step(v, ancilla_in, rng):
     I) v||^2`` for the step's columns ``C`` (see :class:`_StepCost`), and
     ``gauge`` is its closed-form polar factor.
 
-    Each run is one :func:`seqclone.lbfgs.minimize` from a uniform start
-    drawn from the generator ``rng``, stopped once its residual is at most
-    1e-20.  Runs repeat, up to 20, until one ends at a residual of at most
-    1e-12; the best is returned, and ``iterations`` counts the iterations
-    of all runs.
+    Each run is one :func:`seqclone.lbfgs.minimize`, stopped once its
+    residual is at most 1e-24.  The first starts from the row ``start``
+    when one is given.  Fallback runs follow, up to 20 runs in all, only
+    while no run has ended at a residual of at most 1e-12; they start from
+    deterministic points of a Kronecker sequence offset by ``seed``
+    (:func:`_fallback_start`).  The best run is returned, and
+    ``iterations`` counts the iterations of all runs.
     """
     cost = _StepCost(np.asarray(v, dtype=np.complex128), ancilla_in)
     best, iterations = None, 0
-    for _ in range(_STEP_STARTS):
-        start = np.concatenate([rng.uniform(-np.pi, np.pi, 2), rng.uniform(0.0, 2.0 * np.pi, 6)])
-        res = minimize(cost, start, ftol=0.0, maxfun=_STEP_MAXFUN, callback=_fit_done)
+    for k in range(_STEP_STARTS) if start is None else range(-1, _STEP_STARTS - 1):
+        x0 = start if k < 0 else _fallback_start(seed, k)
+        res = minimize(cost, x0, ftol=0.0, maxfun=_STEP_MAXFUN, callback=_fit_done)
         iterations += res.nit
         if best is None or res.fun < best.fun:
             best = res
@@ -555,7 +620,14 @@ def schedule_from_chain(chain: MatrixProductState, seed: int = 0):
     the ancilla states the earlier steps leave, the columns of the previous
     gauge (``|0>`` before the first step), and its closed-form polar gauge
     (Evenbly & Vidal, PRB 79, 144108 (2009)) carries on to the next site.
-    All fits draw their starts from one generator seeded with ``seed``.
+
+    Consecutive sites of a cloner chain are close, so each fit after the
+    first starts where the previous one ended (:func:`_warm_start`): the
+    previous step's couplings and qubit angles, and its ancilla rotation
+    ``R_a`` re-expressed as ``R_a W_{s-1} W_s^H`` for the gauges ``W`` the
+    previous step took in and gave out, so that the pair input does not
+    change.  Only a fit whose first run ends above 1e-12 runs the fallback
+    starts of ``seed``; the first fit starts from them.
 
     ``residuals`` holds each step's residual in step order, and
     ``iterations`` the L-BFGS iterations of all fits.  The residuals are a
@@ -566,16 +638,19 @@ def schedule_from_chain(chain: MatrixProductState, seed: int = 0):
     chain.require_canonical("constructive synthesis")
     if chain.max_bond > 2:
         raise ValueError(f"a two-level ancilla prepares bond 2 at most, got {chain.max_bond}")
-    rng = np.random.default_rng(seed)
     n = chain.n_qubits
     rows, residuals = np.empty((n, 8)), np.empty(n)
-    gauge, iterations = np.eye(2, dtype=np.complex128), 0
+    before = gauge = np.eye(2, dtype=np.complex128)
+    start, iterations = None, 0
     for step, t in enumerate(reversed(chain.sites)):
         _, left, right = t.shape
         v = np.zeros((2, 2, right), dtype=np.complex128)
         v[:left] = t.transpose(1, 0, 2)
+        if step:
+            start = _warm_start(rows[step - 1], before, gauge)
+        before = gauge
         rows[step], residuals[step], gauge, its = fit_step(
-            v.reshape(4, right), gauge[:, :right], rng
+            v.reshape(4, right), gauge[:, :right], start, seed
         )
         iterations += its
     return _schedule_of(rows, True), residuals, iterations

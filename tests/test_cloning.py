@@ -16,9 +16,10 @@ from seqclone.cloning import (
     gm_mps,
     gm_state,
 )
+from seqclone.compression import METHOD_SVD, METHOD_VARIATIONAL_SEEDED, compress, regularization_scan
 from seqclone.errors import CanonicalFormError, ResourceLimitError
 from seqclone.linalg import RANK_RTOL
-from seqclone.mps import from_statevector, to_statevector
+from seqclone.mps import MatrixProductState, canonicalize, from_statevector, overlap, to_statevector
 
 from gm_dense import dense_clone_fidelity, dense_gm_state, symmetric_state
 
@@ -277,3 +278,63 @@ class TestRouteAgreement:
         dense = from_statevector(gm_state(spec), RANK_RTOL).sites
         assert [t.shape for t in chain] == [t.shape for t in dense]
         assert max(np.max(np.abs(a - b)) for a, b in zip(chain, dense)) < 1e-13
+
+
+class TestCovariance:
+    """The cloner is covariant: with ``U = [[alpha, -conj(beta)], [beta,
+    conj(alpha)]]``, ``GM(alpha|0> + beta|1>)`` is ``GM(|0>)`` with ``U`` on
+    every clone and ``Z U Z`` on every anticlone, so nothing about the
+    chain's bonds depends on the input."""
+
+    @pytest.mark.parametrize("m", [*range(2, 9), 16, 50])
+    def test_rotated_zero_input_is_the_cloner_of_the_rotated_input(self, m):
+        rng = np.random.default_rng(100 + m)
+        zero = gm_mps(GMSpec(m, KET_ZERO)).sites
+        for qubit in (KET_PLUS, KET_ONE, random_qubit(rng), random_qubit(rng)):
+            a, b = qubit.alpha, qubit.beta
+            u = np.array([[a, -np.conj(b)], [b, np.conj(a)]])
+            anti = np.diag([1, -1]) @ u @ np.diag([1, -1])
+            rotated = [np.einsum("ij,jlr->ilr", u if k < m else anti, t) for k, t in enumerate(zero)]
+            fid = abs(overlap(gm_mps(GMSpec(m, qubit)), MatrixProductState(sites=rotated)))
+            assert abs(fid - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("m", [3, 5, 7])
+    def test_compression_errors_do_not_depend_on_the_input(self, m):
+        rng = np.random.default_rng(200 + m)
+        methods = [METHOD_SVD, METHOD_VARIATIONAL_SEEDED]
+        errors = [
+            [r.error for r in regularization_scan(GMSpec(m, q), [2, 3], methods, seed=1)]
+            for q in (KET_ZERO, KET_PLUS, random_qubit(rng))
+        ]
+        for other in errors[1:]:
+            assert np.max(np.abs(np.subtract(other, errors[0]))) <= 1e-12
+
+
+# clone fidelity <+|rho_j|+> of the seeded cap-D chain of the |+> cloner,
+# the same for every clone j, for D = 2, 3, 4; an exact chain gives (2M+1)/(3M)
+_COMPRESSED_CLONE_FIDELITY = {
+    3: (0.8667, 0.7778, 0.7778),
+    4: (0.8929, 0.8056, 0.7500),
+    5: (0.9111, 0.8333, 0.7714),
+    6: (0.9242, 0.8556, 0.7963),
+    7: (0.9341, 0.8730, 0.8182),
+    8: (0.9417, 0.8869, 0.8365),
+}
+
+
+@pytest.mark.parametrize("m", sorted(_COMPRESSED_CLONE_FIDELITY))
+def test_compressed_chains_clone_above_the_universal_bound(m):
+    # truncation keeps the Schmidt vectors that carry the known input, so a
+    # compressed fixed-input chain clones better than any universal cloner:
+    # its clone fidelity says nothing about cloning with a D-level ancilla
+    bound = (2 * m + 1) / (3 * m)
+    for cap, expected in zip((2, 3, 4), _COMPRESSED_CLONE_FIDELITY[m]):
+        chain, report = compress(gm_mps(GMSpec(m, KET_PLUS)), cap, METHOD_VARIATIONAL_SEEDED)
+        canonicalize(chain.sites, +1, normalize=True)
+        fids = clone_fidelities(chain, KET_PLUS)
+        assert max(fids) - min(fids) <= 1e-12
+        assert fids[0] == pytest.approx(expected, abs=5e-5)
+        if cap < m:  # the cloner's bond is m: below it the chain is inexact
+            assert report.error > 1e-3 and min(fids) > bound + 1e-3
+        else:
+            assert abs(min(fids) - bound) <= 1e-12
