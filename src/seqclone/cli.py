@@ -226,6 +226,8 @@ def _cmd_regularize(args) -> int:
         raise ConfigError(f"max-sweeps: must be >= 1, got {args.max_sweeps}")
     if not args.tol > 0:
         raise ConfigError(f"tol: must be positive, got {args.tol!r}")
+    if args.seed < 0:  # numpy's generators take no negative seed
+        raise ConfigError(f"seed: must be >= 0, got {args.seed}")
     tasks = []
     for m in clones_list:
         target = gm_mps(GMSpec(m, qubit))
@@ -248,6 +250,8 @@ def _cmd_synthesize(args) -> int:
         raise ConfigError(f"restarts: must be >= 1, got {args.restarts}")
     if args.max_sweeps < 1:
         raise ConfigError(f"max-sweeps: must be >= 1, got {args.max_sweeps}")
+    if args.seed < 0:  # numpy's generators take no negative seed
+        raise ConfigError(f"seed: must be >= 0, got {args.seed}")
     qubit = _parse_input_qubit(args.input_qubit)
     for n in qubit_list:
         if n < 1 or n % 2 == 0:

@@ -96,7 +96,7 @@ def _truncate(target, bond_cap):
         )
         return target.copy(), report
 
-    sites = target.copy().sites
+    sites = list(target.sites)  # replaced below, never written into
     n = len(sites)
     for j in range(n - 1, 0, -1):
         two, left, right = sites[j].shape
@@ -152,9 +152,12 @@ class _SweepWorkspace:
     row or column; ``ndarray.dot`` runs the same ``zgemm`` as ``@`` with
     less call overhead on matrices this small.  A site visit projects in two
     halves, ``lenv[k] @ T_k`` (left pass) or ``T_k @ renv[k]`` (right pass),
-    orthonormalizes the projection by :meth:`linalg.Householder.q`, and
-    builds the next environment from ``q`` and the half it kept.  The ``R``
-    factor is not carried: the next site is overwritten by its own
+    orthonormalizes the projection by ``linalg._householder``, and
+    builds the next environment from ``q`` and the half it kept.  That QR
+    takes LAPACK's layout, ``x.T``: a copy in the left pass, and in the
+    right pass, which factorizes ``x.T``, the fresh ``x`` itself.  ``tau``
+    and ``work`` fit the widest trial bond (no sweep widens one).
+    The ``R`` factor is not carried: the next site is overwritten by its own
     projection before anything reads it.  Each end site is projected once
     per turn, its environment on the far side being 1.  Trial sites right of
     the centre are kept as the ``q`` of the right pass, ``(2 right, left)``,
@@ -167,7 +170,9 @@ class _SweepWorkspace:
         blocks = [np.ascontiguousarray(t.transpose(1, 0, 2)) for t in target_sites]
         self.rows = [b.reshape(b.shape[0], -1) for b in blocks]  # (left, 2 right)
         self.cols = [b.reshape(-1, b.shape[2]) for b in blocks]  # (2 left, right)
-        self.qr = linalg.Householder()
+        self.lefts, self.rights = [b.shape[0] for b in blocks], [b.shape[2] for b in blocks]
+        width = max(max(x.shape[1:]) for x in trial_sites)
+        self.tau, self.work = np.empty(width, np.complex128), np.empty(3 * width, np.complex128)
         n = len(blocks)
         one = np.ones((1, 1), dtype=np.complex128)
         self.lenv = [one] * n
@@ -178,26 +183,28 @@ class _SweepWorkspace:
             x = trial_sites[k]
             q = self.qs[k] = x.transpose(0, 2, 1).reshape(-1, x.shape[1])
             self.renv[k - 1] = half.dot(q.conj())
-            half = self.cols[k - 1].dot(self.renv[k - 1]).reshape(len(self.rows[k - 1]), -1)
+            half = self.cols[k - 1].dot(self.renv[k - 1]).reshape(self.lefts[k - 1], -1)
         self.centre = half.reshape(2, -1)
         self.error = 1.0 - float(np.vdot(half, half).real)
 
     def sweep(self) -> float:
         """One left-to-right plus right-to-left pass; returns final ``||t-s||^2``."""
-        rows, cols, lenv, renv, q_of = self.rows, self.cols, self.lenv, self.renv, self.qr.q
+        rows, cols, lenv, renv = self.rows, self.cols, self.lenv, self.renv
+        lefts, rights, tau, work = self.lefts, self.rights, self.tau, self.work
+        q_of = linalg._householder
         x, half = self.centre, cols[0]  # lenv[0] = 1
         for k in range(len(rows) - 1):
             # x = half @ renv[k], site k as a (left * 2, right) matrix; half = lenv[k] @ T_k
-            q = q_of(x)
+            q = q_of(x.T.copy(), tau, work)[0]
             lenv[k + 1] = q.conj().T.dot(half)
-            half = lenv[k + 1].dot(rows[k + 1]).reshape(-1, cols[k + 1].shape[1])
+            half = lenv[k + 1].dot(rows[k + 1]).reshape(-1, rights[k + 1])
             x = half.dot(renv[k + 1])
         x, half = x.reshape(-1, 2), rows[-1]  # renv[n - 1] = 1
         for k in range(len(rows) - 1, 0, -1):
             # x = lenv[k] @ half, site k as a (left, 2 * right) matrix; half = T_k @ renv[k]
-            q = self.qs[k] = q_of(x.T)
+            q = self.qs[k] = q_of(x, tau, work)[0]  # the QR of x.T, in x
             renv[k - 1] = half.dot(q.conj())
-            half = cols[k - 1].dot(renv[k - 1]).reshape(len(rows[k - 1]), -1)
+            half = cols[k - 1].dot(renv[k - 1]).reshape(lefts[k - 1], -1)
             x = lenv[k - 1].dot(half)
         self.centre = x.reshape(2, -1)
         self.error = 1.0 - float(np.vdot(x, x).real)

@@ -5,10 +5,11 @@ Conventions fixed here and relied upon everywhere else:
 
 * singular values are returned in non-increasing order,
 * QR factors are thin (``q`` has ``min(m, n)`` orthonormal columns) and
-  come straight from LAPACK's Householder routines, with no phase fix,
-  called through numpy's private ``numpy.linalg.lapack_lite`` (see
-  :func:`qr` and :class:`Householder`), so that the package imports no
-  scipy module,
+  come straight from LAPACK's ``zgeqrf``/``zungqr``, with no phase fix,
+  through numpy's private ``numpy.linalg.lapack_lite`` (no scipy import):
+  :func:`qr` copies its input into LAPACK's column-major layout, which is
+  the C-contiguous transpose, and the ALS sweep passes such an array of its
+  own, with buffers it keeps, to the private in-place :func:`_householder`,
 * SVD phases are made deterministic (the first entry of every left singular
   vector whose magnitude is within a relative ``PIVOT_RTOL`` of the largest
   is real and positive),
@@ -87,45 +88,28 @@ def svd(a: np.ndarray) -> SVDResult:
     return SVDResult(left=u, singulars=s, right=vh.conj().T)
 
 
-class Householder:
-    """Thin QR by one LAPACK ``zgeqrf``/``zungqr`` pair, with its buffers kept.
+def _householder(p, tau, work, with_r=False):
+    """:func:`qr` of ``a = p.T`` in place: ``(q, r)``, ``r`` only ``with_r``.
 
-    :meth:`qr` is :func:`qr`; :meth:`q` returns its ``q`` alone, for callers
-    that only orthonormalize, and skips the ``triu``.  An instance keeps
-    LAPACK's ``tau`` and ``work`` arrays between calls, grown to the widest
-    input so far, so a loop of small factorizations (an ALS sweep) allocates
-    only the copy that LAPACK overwrites.  ``tau`` carries from ``zgeqrf`` to
-    ``zungqr``, so one instance serves one thread.
+    ``p``, a C-contiguous complex128 ``n x m`` array, is the ``m x n``
+    matrix ``a`` in LAPACK's column-major layout; the ``zgeqrf``/``zungqr``
+    pair overwrites it, and ``q``, ``m x k`` with ``k = min(m, n)``, is the
+    view ``p[:k].T``.  ``tau`` and ``work`` are complex128 buffers of at
+    least ``n`` and ``3 n`` entries, reusable across calls and shapes.  No
+    size is checked (LAPACK would write past a short buffer) and nothing is
+    allocated, so a loop of small factorizations (the ALS sweep, which sizes
+    its buffers once) pays for the two LAPACK calls alone.
     """
-
-    def __init__(self):
-        self._tau = self._work = np.empty(0, np.complex128)
-
-    def qr(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._factor(a, True)
-
-    def q(self, a: np.ndarray) -> np.ndarray:
-        return self._factor(a, False)[0]
-
-    def _factor(self, a, with_r):
-        a = _as_matrix(a)
-        m, n = a.shape
-        k = min(m, n)
-        if self._work.size < 3 * n:
-            self._tau = np.empty(n, np.complex128)
-            self._work = np.empty(3 * n, np.complex128)
-        tau, work = self._tau, self._work
-        # lapack_lite reads its C-contiguous arrays column-major, so this copy
-        # is ``a`` in LAPACK's layout; ``packed.T`` views it as ``m x n`` again
-        packed = a.T.copy()
-        info = lapack_lite.zgeqrf(m, n, packed, m, tau, work, 3 * n, 0)["info"]
-        # zungqr overwrites the packed factor, whose upper triangle is r
-        r = np.triu(packed.T[:k]) if with_r else None
-        if info == 0:
-            info = lapack_lite.zungqr(m, k, k, packed, m, tau, work, 3 * k, 0)["info"]
-        if info != 0:
-            raise NumericalFailure(f"QR failed (LAPACK info {info}) for a {m}x{n} matrix")
-        return (packed.T if k == n else packed.T[:, :k].copy(order="F")), r
+    n, m = p.shape
+    k = m if m < n else n  # cheaper than calling min() on every sweep visit
+    info = lapack_lite.zgeqrf(m, n, p, m, tau, work, 3 * n, 0)["info"]
+    # zungqr overwrites the packed factor, whose upper triangle is r
+    r = np.triu(p.T[:k]) if with_r else None
+    if info == 0:
+        info = lapack_lite.zungqr(m, k, k, p, m, tau, work, 3 * k, 0)["info"]
+    if info != 0:
+        raise NumericalFailure(f"QR failed (LAPACK info {info}) for a {m}x{n} matrix")
+    return p[:k].T, r
 
 
 def qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -140,13 +124,17 @@ def qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     range, the factors are the same bits as ``numpy.linalg.qr``'s.  Above
     it the block size follows the workspace, here ``3 n`` (``3 k`` for
     ``zungqr``) as in scipy's LAPACK wrappers, and the bits may differ.
-    Repeated factorizations can share buffers through :class:`Householder`.
+    The ALS sweep runs the same pair through :func:`_householder` on
+    buffers it owns.
 
     Raises:
         ValueError: empty input.
         NumericalFailure: LAPACK reported an error.
     """
-    return Householder().qr(a)
+    a = _as_matrix(a)
+    n = a.shape[1]
+    tau, work = np.empty(n, np.complex128), np.empty(3 * n, np.complex128)
+    return _householder(a.T.copy(), tau, work, with_r=True)  # the copy: LAPACK's layout
 
 
 def truncate_rank(a: np.ndarray, k: int) -> np.ndarray:

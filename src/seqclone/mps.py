@@ -121,7 +121,7 @@ def shift_centre(sites: list[np.ndarray], k: int, step: int) -> None:
     right-orthonormal (``sum_i X^i X^i{dagger} = 1``); the chain still
     represents the same state.  Tensors are replaced, never written into.
     The QR is :func:`linalg.qr`; a caller that overwrites site ``k + step``
-    next, as the ALS sweep does, needs only :meth:`linalg.Householder.q`.
+    next, as the ALS sweep does, needs only its ``q``.
     """
     two, lw, rw = sites[k].shape
     if step > 0:
@@ -211,7 +211,8 @@ def overlap(a: MatrixProductState, b: MatrixProductState) -> complex:
         )
     env = np.ones((1, 1), dtype=np.complex128)
     for ta, tb in zip(a.sites, b.sites):
-        env = (ta.conj().transpose(0, 2, 1) @ env @ tb).sum(0)
+        pair = ta.conj().transpose(0, 2, 1) @ env @ tb
+        env = pair[0] + pair[1]
     return complex(env[0, 0])
 
 

@@ -213,6 +213,18 @@ class TestRegularize:
         assert code == 2
         assert flag[2:] in err
 
+    # a negative seed is rejected also where no generator would use it
+    @pytest.mark.parametrize("methods", ["variational-unseeded", "svd,variational"])
+    def test_rejects_negative_seed(self, tmp_path, methods):
+        code, err = run_cli([
+            "regularize", "--clones", "2", "--bond-caps", "2",
+            "--methods", methods, "--seed", "-1",
+            "-o", str(tmp_path / "x.csv"), "--threads", "1",
+        ])
+        assert code == 2
+        assert err == "error: seed: must be >= 0, got -1\n"
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestSynthesize:
     def test_single_row_and_reported_fields(self, tmp_path):
@@ -236,6 +248,16 @@ class TestSynthesize:
         ])
         assert code == 2
         assert "max-sweeps" in err
+
+    @pytest.mark.parametrize("aux", ["on", "off"])
+    def test_rejects_negative_seed(self, tmp_path, aux):
+        code, err = run_cli([
+            "synthesize", "--qubits", "3", "--aux", aux, "--seed", "-1",
+            "-o", str(tmp_path / "x.csv"), "--threads", "1",
+        ])
+        assert code == 2
+        assert err == "error: seed: must be >= 0, got -1\n"
+        assert not (tmp_path / "x.csv").exists()
 
     def test_rejects_even_register(self, tmp_path):
         code, err = run_cli([

@@ -499,7 +499,7 @@ class TestSweepKernel:
         def no_qr(*args):
             raise AssertionError("a one-site sweep ran a QR")
 
-        monkeypatch.setattr(compression.linalg.Householder, "_factor", no_qr)
+        monkeypatch.setattr(compression.linalg, "_householder", no_qr)
         out, report = variational_compress(target, 1, METHOD_VARIATIONAL, seed=3)
         monkeypatch.setattr(compression, "_SweepWorkspace", _EinsumWorkspace)
         _, ref = variational_compress(target, 1, METHOD_VARIATIONAL, seed=3)

@@ -6,7 +6,6 @@ import pytest
 from seqclone import linalg
 from seqclone.errors import NumericalFailure
 from seqclone.linalg import (
-    Householder,
     complete_to_unitary,
     qr,
     svd,
@@ -122,6 +121,16 @@ def _qr_cases():
 QR_CASES = _qr_cases()
 
 
+def buffers(n):
+    """``tau`` and ``work`` for ``linalg._householder`` of a matrix ``n`` wide."""
+    return np.empty(n, np.complex128), np.empty(3 * n, np.complex128)
+
+
+def q_in_place(a):
+    """The ALS sweep's QR: ``q`` of ``a`` from a fresh copy in LAPACK's layout."""
+    return linalg._householder(a.T.copy(), *buffers(a.shape[1]))[0]
+
+
 class TestQr:
     @pytest.mark.parametrize("name", list(QR_CASES))
     def test_thin_factors(self, name):
@@ -132,7 +141,7 @@ class TestQr:
         assert np.max(np.abs(q.conj().T @ q - np.eye(k))) <= 1e-14
         assert np.array_equal(r, np.triu(r))
         assert np.max(np.abs(q @ r - a)) <= 1e-14
-        assert np.array_equal(Householder().q(a), q)
+        assert np.array_equal(q_in_place(a), q)
 
     @pytest.mark.parametrize("name", list(QR_CASES))
     def test_agrees_with_numpy(self, name):
@@ -144,17 +153,16 @@ class TestQr:
         q_ref, r_ref = np.linalg.qr(a)
         assert np.array_equal(q, q_ref)
         assert np.array_equal(r, r_ref)
-        assert np.array_equal(Householder().q(a), q_ref)
+        assert np.array_equal(q_in_place(a), q_ref)
 
     def test_reused_buffers_change_no_bits(self):
-        # one instance through every case, narrowest first and then back, so
-        # its buffers grow and are then reused wider than the input
-        shared = Householder()
+        # one tau/work pair, filled with NaN and sized for the widest case,
+        # through every case, narrowest first and then back: what an earlier
+        # call left in them, and their spare length, change nothing
+        tau, work = buffers(max(a.shape[1] for a in QR_CASES.values()))
+        tau[:] = work[:] = np.nan
         for a in [*reversed(QR_CASES.values()), *QR_CASES.values()]:
-            q, r = qr(a)
-            assert np.array_equal(shared.q(a), q)
-            q2, r2 = shared.qr(a)
-            assert np.array_equal(q2, q) and np.array_equal(r2, r)
+            assert np.array_equal(linalg._householder(a.T.copy(), tau, work)[0], qr(a)[0])
 
     @pytest.mark.parametrize("routine", ["zgeqrf", "zungqr"])
     def test_lapack_error_raises(self, monkeypatch, routine):
@@ -164,13 +172,35 @@ class TestQr:
             return {**real(*args), "info": -1}
 
         monkeypatch.setattr(linalg.lapack_lite, routine, failing)
-        for factor in (qr, Householder().q):
+        for factor in (qr, q_in_place):
             with pytest.raises(NumericalFailure, match="QR failed"):
                 factor(QR_CASES["square"])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             qr(np.zeros((0, 2), dtype=complex))
+
+
+HOUSEHOLDER_SHAPES = [(1, 1), (2, 1), (1, 2), (4, 2), (2, 4), (6, 3), (3, 6),
+                      (8, 8), (16, 8), (8, 16), (32, 16), (16, 32)]
+
+
+class TestHouseholderQ:
+    @pytest.mark.parametrize("shape", HOUSEHOLDER_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_q_is_numpys(self, shape):
+        a = random_complex(np.random.default_rng(sum(shape)), *shape)
+        q = q_in_place(a)
+        assert q.shape == (shape[0], min(shape))
+        assert q.tobytes() == np.linalg.qr(a)[0].tobytes()
+
+    @pytest.mark.parametrize("shape", [(6, 3), (3, 6)], ids=["tall", "wide"])
+    def test_overwrites_p_in_place(self, shape):
+        a = random_complex(np.random.default_rng(5), *shape)
+        p = a.T.copy()
+        q = linalg._householder(p, *buffers(shape[1]))[0]
+        assert np.shares_memory(q, p)
+        assert np.array_equal(q, p[: min(shape)].T)
+        assert not np.array_equal(p, a.T)
 
 
 class TestTruncateRank:

@@ -5,10 +5,15 @@ Run from a checkout; the package is imported from its ``src/``::
 
     python3 tools/cli_digests.py > digests.txt
     python3 tools/cli_digests.py --threads 2 > digests-2.txt
+    python3 tools/cli_digests.py --check digests.txt
 
 One line per output, ``<sha256>  <what>``.  Two checkouts (or two
 ``--threads`` settings) produce the same bytes exactly when ``diff`` of
-their listings is empty.  Covered:
+their listings is empty.  With ``--check LISTING`` nothing is listed: the
+script compares its listing with a saved one, prints each line that
+differs (``- `` saved, ``+ `` now) and exits 1 if any does, 0 if none, so
+a behaviour-preserving change's byte-identity gate is one command run in
+its checkout against the parent's listing.  Covered:
 
 * the byte-identity CLI list: both ``synthesize`` commands, ``regularize``
   at M = 2..8 with caps 2-4 and all three methods at ``--seed 1``, and
@@ -29,6 +34,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import difflib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import sys  # noqa: E402
@@ -93,6 +99,10 @@ def main() -> int:
     parser.add_argument(
         "--threads", type=int, default=1, help="--threads passed to every CLI command"
     )
+    parser.add_argument(
+        "--check", metavar="LISTING", type=Path,
+        help="compare with a saved listing; print the lines that differ and exit 1 if any",
+    )
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
@@ -104,9 +114,15 @@ def main() -> int:
     for clones in range(2, 9):
         outputs.append((f"regularization_scan rows, compress-scan plan, M={clones}, seed 1",
                         scan_rows(clones)))
-    for label, data in outputs:
-        print(f"{hashlib.sha256(data).hexdigest()}  {label}")
-    return 0
+    listing = [f"{hashlib.sha256(data).hexdigest()}  {label}" for label, data in outputs]
+    if args.check is None:
+        print("\n".join(listing))
+        return 0
+    saved = args.check.read_text().splitlines()
+    differ = [line for line in difflib.ndiff(saved, listing) if line[0] in "-+"]
+    for line in differ:
+        print(line)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
