@@ -11,20 +11,15 @@ Three experiments, each emitting a machine-readable table (CSV or JSON):
 
 Determinism contract: identical configuration plus identical seed produce a
 byte-identical output file.  Wall-clock timings therefore stay out of the
-file unless ``--timing`` is passed.  Scan points may run in a process pool
-(``--threads``); rows are emitted in scan order regardless of completion
-order, and per-restart seeds are spawned hierarchically from the master
-seed, so parallel and serial runs agree.
+file unless ``--timing`` is passed.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import io
 import json
-import os
 import sys
 import time
 
@@ -71,7 +66,7 @@ def _fmt(x) -> str:
 
 def _parse_int_list(text: str | None, field: str) -> list[int]:
     if text is None:
-        raise ConfigError(f"{field}: required (flag or config file)")
+        raise ConfigError(f"{field}: required")
     try:
         values = [int(tok) for tok in str(text).split(",") if tok.strip() != ""]
     except ValueError as exc:
@@ -120,11 +115,10 @@ def _parse_methods(text: str) -> list[str]:
     return methods
 
 
-# --- scan-point workers (module level so a process pool can pickle them) ----
+# --- scan points -------------------------------------------------------------
 
 
-def _regularize_point(task):
-    target, cap, method, max_sweeps, tol, seed = task
+def _regularize_point(target, cap, method, max_sweeps, tol, seed):
     start = time.perf_counter()
     _, report = compression.compress(
         target, cap, method, max_sweeps=max_sweeps, convergence_tol=tol, seed=seed
@@ -146,11 +140,8 @@ def _regularize_point(task):
     }
 
 
-def _synthesize_point(task):
-    n, aux, restarts, qubit_re_im, max_sweeps, seed = task
-    clones = (n + 1) // 2
-    spec = GMSpec(clones, PureQubit(*qubit_re_im))
-    target = gm_chain(spec)
+def _synthesize_point(target, aux, restarts, max_sweeps, seed):
+    n = target.n_qubits
     start = time.perf_counter()
     result = sequential.optimize_schedule(
         target, n, aux=aux, restarts=restarts, seed=seed, max_sweeps=max_sweeps
@@ -159,7 +150,7 @@ def _synthesize_point(task):
     return {
         "experiment": "synthesize",
         "n": n,
-        "M": clones,
+        "M": (n + 1) // 2,
         "bond_cap": None,
         "aux": "on" if aux else "off",
         "method": sequential.COUPLING_XXZ,
@@ -170,13 +161,6 @@ def _synthesize_point(task):
         "wall_seconds": wall,
         "seed": seed,
     }
-
-
-def _run_pool(worker, tasks, threads):
-    if threads <= 1 or len(tasks) <= 1:
-        return [worker(t) for t in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, tasks))
 
 
 # --- output ------------------------------------------------------------------
@@ -203,9 +187,12 @@ def _render_rows(rows, columns, fmt, experiment, timing):
 def _write_output(text, path):
     if path in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"output: cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # --- experiments -------------------------------------------------------------
@@ -228,15 +215,14 @@ def _cmd_regularize(args) -> int:
         raise ConfigError(f"tol: must be positive, got {args.tol!r}")
     if args.seed < 0:  # numpy's generators take no negative seed
         raise ConfigError(f"seed: must be >= 0, got {args.seed}")
-    tasks = []
-    for m in clones_list:
-        target = gm_mps(GMSpec(m, qubit))
-        tasks += [
-            (target, cap, method, args.max_sweeps, args.tol, args.seed)
-            for cap in caps
-            for method in methods
-        ]
-    rows = _run_pool(_regularize_point, tasks, args.threads)
+    # every chain first: a clone count over the limit stops the run before any compression
+    targets = [gm_mps(GMSpec(m, qubit)) for m in clones_list]
+    rows = [
+        _regularize_point(target, cap, method, args.max_sweeps, args.tol, args.seed)
+        for target in targets
+        for cap in caps
+        for method in methods
+    ]
     text = _render_rows(rows, RESULT_COLUMNS, args.format, "regularize", args.timing)
     _write_output(text, args.output)
     return EXIT_OK
@@ -256,11 +242,12 @@ def _cmd_synthesize(args) -> int:
     for n in qubit_list:
         if n < 1 or n % 2 == 0:
             raise ConfigError(f"qubits: register must be a positive odd count, got {n}")
-    tasks = [
-        (n, args.aux == "on", args.restarts, (qubit.alpha, qubit.beta), args.max_sweeps, args.seed)
-        for n in qubit_list
+    # every chain first: a register over the limit stops the run before any synthesis
+    targets = [gm_chain(GMSpec((n + 1) // 2, qubit)) for n in qubit_list]
+    rows = [
+        _synthesize_point(target, args.aux == "on", args.restarts, args.max_sweeps, args.seed)
+        for target in targets
     ]
-    rows = _run_pool(_synthesize_point, tasks, args.threads)
     text = _render_rows(rows, RESULT_COLUMNS, args.format, "synthesize", args.timing)
     _write_output(text, args.output)
     return EXIT_OK
@@ -301,31 +288,12 @@ def _cmd_gm_info(args) -> int:
 # --- argument plumbing -------------------------------------------------------
 
 
-def _load_config_defaults(path: str) -> dict:
-    defaults = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, value = line.split("=", 1)
-                defaults[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
-        raise ConfigError(f"config: cannot read {path}: {exc}") from exc
-    return defaults
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", "-o", default="-", help="output path ('-' = stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument(
-        "--threads", type=int, default=os.cpu_count() or 1,
-        help="worker processes for scan points",
-    )
+    # accepted and ignored: the benchmark (bench/) and acceptance check 11 still pass it
+    parser.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     parser.add_argument(
         "--timing", action="store_true",
         help="record wall-clock seconds (breaks byte-identical reruns)",
@@ -337,19 +305,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqclone",
         description="cloner-state construction, bond compression, and "
                     "restricted sequential synthesis",
     )
-    parser.add_argument("--config", help="flat key=value file with defaults")
     sub = parser.add_subparsers(dest="experiment", required=True)
-    subparsers = {}
 
-    p = subparsers["regularize"] = sub.add_parser(
-        "regularize", help="bond-cap compression scan"
-    )
+    p = sub.add_parser("regularize", help="bond-cap compression scan")
     _add_common(p)
     p.add_argument("--clones", help="clone counts, comma separated")
     p.add_argument("--bond-caps", help="bond caps, comma separated")
@@ -357,68 +321,22 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--max-sweeps", type=int, default=50)
     p.add_argument("--tol", type=float, default=1e-12)
 
-    p = subparsers["synthesize"] = sub.add_parser(
-        "synthesize", help="restricted-interaction synthesis"
-    )
+    p = sub.add_parser("synthesize", help="restricted-interaction synthesis")
     _add_common(p)
     p.add_argument("--qubits", help="register sizes (odd), comma separated")
     p.add_argument("--aux", choices=("on", "off"), default="on")
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--max-sweeps", type=int, default=200)
 
-    p = subparsers["gm-info"] = sub.add_parser(
-        "gm-info", help="structural facts of a cloner state"
-    )
+    p = sub.add_parser("gm-info", help="structural facts of a cloner state")
     _add_common(p)
     p.add_argument("--clones", help=f"clone counts (1..{MAX_CLONES}), comma separated")
     p.add_argument("--mps-out", help="also dump the exact MPS as JSON to this path")
-    return parser, subparsers
-
-
-def _peek_config_path(argv: list[str]) -> str | None:
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if tok.startswith("--config="):
-            return tok.split("=", 1)[1]
-    return None
-
-
-def _apply_config_defaults(subparsers, defaults) -> None:
-    """Config values become subparser defaults; flags still override them."""
-    known = set()
-    for sub in subparsers.values():
-        apply = {}
-        for action in sub._actions:
-            known.add(action.dest)
-            if action.dest not in defaults:
-                continue
-            raw = defaults[action.dest]
-            if isinstance(action, argparse._StoreTrueAction):
-                apply[action.dest] = raw.lower() in ("1", "true", "on", "yes")
-                continue
-            conv = action.type or str
-            try:
-                apply[action.dest] = conv(raw)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"config: bad value for {action.dest}: {raw!r}") from exc
-        sub.set_defaults(**apply)
-    for key in defaults:
-        if key not in known:
-            print(f"warning: config: ignoring unknown key {key!r}", file=sys.stderr)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser, subparsers = build_parser()
-    config_path = _peek_config_path(argv)
-    if config_path:
-        try:
-            _apply_config_defaults(subparsers, _load_config_defaults(config_path))
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     handlers = {
         "regularize": _cmd_regularize,
         "synthesize": _cmd_synthesize,

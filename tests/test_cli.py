@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import seqclone
-from seqclone import cli
+from seqclone import cli, compression, sequential
 from seqclone.cli import main
 from seqclone.cloning import gm_mps
 
@@ -28,6 +28,19 @@ def run_cli(args):
 def read_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
+
+
+def count_calls(monkeypatch, module, name):
+    """Records each call of ``module.name`` and returns the record."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 class TestGmInfo:
@@ -96,7 +109,6 @@ class TestRegularize:
         code, _ = run_cli([
             "regularize", "--clones", "2", "--bond-caps", "2,3",
             "--methods", "svd,variational", "--seed", "1", "-o", str(out),
-            "--threads", "1",
         ])
         assert code == 0
         rows = read_rows(out)
@@ -105,8 +117,7 @@ class TestRegularize:
             "svd_truncation", "variational_seeded_by_svd",
         }
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_chain_built_once_per_clone_count(self, tmp_path, monkeypatch, threads):
+    def test_chain_built_once_per_clone_count(self, tmp_path, monkeypatch):
         built = []
 
         def counting_gm_mps(spec):
@@ -118,7 +129,6 @@ class TestRegularize:
         code, _ = run_cli([
             "regularize", "--clones", "2,3", "--bond-caps", "2,3",
             "--methods", "svd,variational,variational-unseeded", "-o", str(out),
-            "--threads", threads,
         ])
         assert code == 0
         assert built == [2, 3]
@@ -129,7 +139,6 @@ class TestRegularize:
         run_cli([
             "regularize", "--clones", "3", "--bond-caps", "2",
             "--methods", "variational", "--seed", "2", "-o", str(out),
-            "--threads", "1",
         ])
         for row in read_rows(out):
             fid = float(row["fidelity"])
@@ -144,7 +153,6 @@ class TestRegularize:
         run_cli([
             "regularize", "--clones", "2", "--bond-caps", "2",
             "--methods", "svd", "--format", "json", "-o", str(out),
-            "--threads", "1",
         ])
         doc = json.loads(out.read_text())
         assert doc["schema"] == "seqclone.results/1"
@@ -155,7 +163,7 @@ class TestRegularize:
         out = tmp_path / "scan.csv"
         run_cli([
             "regularize", "--clones", "2", "--bond-caps", "2",
-            "--methods", "svd", "-o", str(out), "--threads", "1", "--timing",
+            "--methods", "svd", "-o", str(out), "--timing",
         ])
         assert float(read_rows(out)[0]["wall_seconds"]) > 0.0
 
@@ -175,21 +183,23 @@ class TestRegularize:
         assert code == 3
         assert "limit of 50 clones" in err
 
-    def test_resource_cap_crosses_process_pool(self, tmp_path):
+    def test_resource_cap_before_any_compression(self, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, compression, "compress")
         out = tmp_path / "x.csv"
         code, err = run_cli([
             "regularize", "--clones", "2,51", "--bond-caps", "2",
-            "--methods", "svd", "-o", str(out), "--threads", "2",
+            "--methods", "svd", "-o", str(out),
         ])
         assert code == 3
         assert "limit of 50 clones" in err
+        assert calls == []
         assert not out.exists()
 
     def test_fifty_clones_at_floor(self, tmp_path):
         out = tmp_path / "scan.csv"
         code, _ = run_cli([
             "regularize", "--clones", "50", "--bond-caps", "2,3,4",
-            "--methods", "svd,variational", "-o", str(out), "--threads", "1",
+            "--methods", "svd,variational", "-o", str(out),
         ])
         assert code == 0
         rows = read_rows(out)
@@ -208,7 +218,7 @@ class TestRegularize:
     def test_rejects_invalid_sweep_settings(self, tmp_path, flag, value):
         code, err = run_cli([
             "regularize", "--clones", "2", "--bond-caps", "2", "--methods", "variational",
-            "-o", str(tmp_path / "x.csv"), "--threads", "1", flag, value,
+            "-o", str(tmp_path / "x.csv"), flag, value,
         ])
         assert code == 2
         assert flag[2:] in err
@@ -219,7 +229,7 @@ class TestRegularize:
         code, err = run_cli([
             "regularize", "--clones", "2", "--bond-caps", "2",
             "--methods", methods, "--seed", "-1",
-            "-o", str(tmp_path / "x.csv"), "--threads", "1",
+            "-o", str(tmp_path / "x.csv"),
         ])
         assert code == 2
         assert err == "error: seed: must be >= 0, got -1\n"
@@ -232,7 +242,7 @@ class TestSynthesize:
         code, _ = run_cli([
             "synthesize", "--qubits", "3", "--aux", "on", "--restarts", "1",
             "--seed", "1", "--max-sweeps", "5", "--format", "json",
-            "-o", str(out), "--threads", "1",
+            "-o", str(out),
         ])
         assert code == 0
         doc = json.loads(out.read_text())
@@ -244,7 +254,7 @@ class TestSynthesize:
     def test_rejects_zero_max_sweeps(self, tmp_path):
         code, err = run_cli([
             "synthesize", "--qubits", "3", "--max-sweeps", "0",
-            "-o", str(tmp_path / "x.csv"), "--threads", "1",
+            "-o", str(tmp_path / "x.csv"),
         ])
         assert code == 2
         assert "max-sweeps" in err
@@ -253,7 +263,7 @@ class TestSynthesize:
     def test_rejects_negative_seed(self, tmp_path, aux):
         code, err = run_cli([
             "synthesize", "--qubits", "3", "--aux", aux, "--seed", "-1",
-            "-o", str(tmp_path / "x.csv"), "--threads", "1",
+            "-o", str(tmp_path / "x.csv"),
         ])
         assert code == 2
         assert err == "error: seed: must be >= 0, got -1\n"
@@ -268,20 +278,21 @@ class TestSynthesize:
 
     def test_resource_cap_exit_code(self, tmp_path):
         code, err = run_cli([
-            "synthesize", "--qubits", "101", "-o", str(tmp_path / "x.csv"), "--threads", "1",
+            "synthesize", "--qubits", "101", "-o", str(tmp_path / "x.csv"),
         ])
         assert code == 3
         assert "101 qubits" in err and "limit of 50 clones" in err
 
-    def test_resource_cap_crosses_process_pool(self, tmp_path):
-        # synthesize builds each cloner chain inside its worker
+    def test_resource_cap_before_any_synthesis(self, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, sequential, "optimize_schedule")
         out = tmp_path / "x.csv"
         code, err = run_cli([
             "synthesize", "--qubits", "3,101", "--restarts", "1", "--max-sweeps", "1",
-            "-o", str(out), "--threads", "2",
+            "-o", str(out),
         ])
         assert code == 3
         assert "101 qubits" in err and "limit of 50 clones" in err
+        assert calls == []
         assert not out.exists()
 
     def test_coupling_model_flag_is_gone(self, tmp_path, capsys):
@@ -294,34 +305,31 @@ class TestSynthesize:
         assert exc.value.code == 2
         assert "--coupling-model" in capsys.readouterr().err
 
-    def test_coupling_model_config_key_is_unknown(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("coupling-model=general\n")
-        out = tmp_path / "synth.csv"
-        code, err = run_cli([
-            "--config", str(cfg), "synthesize", "--qubits", "3", "--restarts", "1",
-            "--max-sweeps", "1", "-o", str(out), "--threads", "1",
-        ])
-        assert code == 0
-        assert "ignoring unknown key 'coupling_model'" in err
-        assert read_rows(out)[0]["method"] == "xxz"
+    def test_config_flag_is_gone(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["--config=exp.cfg", "synthesize", "--qubits", "3", "-o", str(out)])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDeterminism:
     def test_regularize_byte_identical(self, tmp_path):
         argv = [
             "regularize", "--clones", "2,3", "--bond-caps", "2",
-            "--methods", "svd,variational", "--seed", "7", "--threads", "2",
+            "--methods", "svd,variational", "--seed", "7",
         ]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_cli(argv + ["-o", str(a)])
-        run_cli(argv + ["-o", str(b)])
+        # --threads is accepted and ignored
+        assert run_cli(argv + ["-o", str(a), "--threads", "1"])[0] == 0
+        assert run_cli(argv + ["-o", str(b), "--threads", "2"])[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_synthesize_byte_identical(self, tmp_path):
         argv = [
             "synthesize", "--qubits", "3", "--restarts", "2", "--seed", "3",
-            "--max-sweeps", "4", "--threads", "1",
+            "--max-sweeps", "4",
         ]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli(argv + ["-o", str(a)])
@@ -329,40 +337,15 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
 
-class TestConfigFile:
-    def test_defaults_from_config(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("bond-caps=2\nmethods=svd\nseed=5\n")
-        out = tmp_path / "scan.csv"
-        code, _ = run_cli([
-            "--config", str(cfg), "regularize", "--clones", "2",
-            "-o", str(out), "--threads", "1",
-        ])
-        assert code == 0
-        rows = read_rows(out)
-        assert rows[0]["seed"] == "5"
-        assert rows[0]["method"] == "svd_truncation"
-
-    def test_flags_override_config(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("seed=5\n")
-        out = tmp_path / "scan.csv"
-        run_cli([
-            "--config", str(cfg), "regularize", "--clones", "2",
-            "--bond-caps", "2", "--methods", "svd", "--seed", "9",
-            "-o", str(out), "--threads", "1",
-        ])
-        assert read_rows(out)[0]["seed"] == "9"
-
-    def test_malformed_config(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("not a pair\n")
-        code, err = run_cli([
-            "--config", str(cfg), "regularize", "--clones", "2",
-            "--bond-caps", "2", "--methods", "svd",
-        ])
-        assert code == 2
-        assert "key=value" in err
+@pytest.mark.parametrize("flag", ["-o", "--mps-out"])
+def test_unwritable_output_is_config_error(tmp_path, flag):
+    path = tmp_path / "missing" / "out"
+    # the last -o wins, so the "-o" case writes its table to the missing directory
+    code, err = run_cli([
+        "gm-info", "--clones", "2", "-o", str(tmp_path / "info.csv"), flag, str(path),
+    ])
+    assert code == 2
+    assert err.startswith(f"error: output: cannot write {path}: ")
 
 
 class TestInputQubitParsing:
@@ -419,7 +402,6 @@ class TestNoDenseTargets:
         code, _ = run_cli([
             "regularize", "--clones", "2,4", "--bond-caps", "2,3",
             "--methods", "svd,variational", "-o", str(tmp_path / "scan.csv"),
-            "--threads", "1",
         ])
         assert code == 0
 
@@ -433,7 +415,7 @@ class TestNoDenseTargets:
     def test_synthesize(self, tmp_path):
         code, _ = run_cli([
             "synthesize", "--qubits", "3,5", "--restarts", "1", "--max-sweeps", "1",
-            "-o", str(tmp_path / "synth.csv"), "--threads", "1",
+            "-o", str(tmp_path / "synth.csv"),
         ])
         assert code == 0
 
@@ -458,20 +440,22 @@ from seqclone import cli
 from seqclone.cloning import GMSpec, gm_chain
 
 def watched_modules():
-    # scipy, and numpy.random: only the global search's restarts draw numbers
+    # scipy, and numpy.random: only the global search's restarts draw numbers;
+    # concurrent and multiprocessing: every command runs in this one process
     return sorted(m for m in sys.modules
-                  if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "random"])
+                  if m.split(".")[0] in ("scipy", "concurrent", "multiprocessing")
+                  or m.split(".")[:2] == ["numpy", "random"])
 
 out = sys.argv[1]
 loaded = {"import": watched_modules()}
 codes = [
-    cli.main(["gm-info", "--clones", "3", "--threads", "1", "-o", out + "/info.csv"]),
+    cli.main(["gm-info", "--clones", "3", "-o", out + "/info.csv"]),
     cli.main(["regularize", "--clones", "3", "--bond-caps", "2",
-              "--methods", "svd,variational", "--threads", "1", "-o", out + "/scan.csv"]),
+              "--methods", "svd,variational", "-o", out + "/scan.csv"]),
 ]
 loaded["gm-info, regularize"] = watched_modules()
 codes.append(cli.main(["synthesize", "--qubits", "3", "--aux", "on", "--restarts", "1",
-                       "--max-sweeps", "1", "--threads", "1", "-o", out + "/synth.csv"]))
+                       "--max-sweeps", "1", "-o", out + "/synth.csv"]))
 loaded["synthesize"] = watched_modules()
 res = seqclone.optimize_schedule(
     gm_chain(GMSpec(2)), 3, aux=True, restarts=1, seed=1, max_sweeps=1, inner_maxfev=20

@@ -4,16 +4,15 @@
 Run from a checkout; the package is imported from its ``src/``::
 
     python3 tools/cli_digests.py > digests.txt
-    python3 tools/cli_digests.py --threads 2 > digests-2.txt
     python3 tools/cli_digests.py --check digests.txt
 
-One line per output, ``<sha256>  <what>``.  Two checkouts (or two
-``--threads`` settings) produce the same bytes exactly when ``diff`` of
-their listings is empty.  With ``--check LISTING`` nothing is listed: the
-script compares its listing with a saved one, prints each line that
-differs (``- `` saved, ``+ `` now) and exits 1 if any does, 0 if none, so
-a behaviour-preserving change's byte-identity gate is one command run in
-its checkout against the parent's listing.  Covered:
+One line per output, ``<sha256>  <what>``.  Two checkouts produce the same
+bytes exactly when ``diff`` of their listings is empty.  With ``--check
+LISTING`` nothing is listed: the script compares its listing with a saved
+one, prints each line that differs (``- `` saved, ``+ `` now) and exits 1
+if any does, 0 if none, so a behaviour-preserving change's byte-identity
+gate is one command run in its checkout against the parent's listing.
+Covered:
 
 * the byte-identity CLI list: both ``synthesize`` commands, ``regularize``
   at M = 2..8 with caps 2-4 and all three methods at ``--seed 1``, and
@@ -64,11 +63,11 @@ COMPRESS_PLAN = [
 ]
 
 
-def run(command: str, threads: int, workdir: Path, mps_out=False) -> list[tuple[str, bytes]]:
+def run(command: str, workdir: Path, mps_out=False) -> list[tuple[str, bytes]]:
     """Run one CLI command; returns (label, bytes) for its table and, with
     ``mps_out``, its chain."""
     out, chain = workdir / "table", workdir / "chain.json"
-    argv = command.split() + ["-o", str(out), "--threads", str(threads)]
+    argv = command.split() + ["-o", str(out)]
     if mps_out:
         argv += ["--mps-out", str(chain)]
     err = io.StringIO()
@@ -97,9 +96,6 @@ def scan_rows(clones: int) -> bytes:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--threads", type=int, default=1, help="--threads passed to every CLI command"
-    )
-    parser.add_argument(
         "--check", metavar="LISTING", type=Path,
         help="compare with a saved listing; print the lines that differ and exit 1 if any",
     )
@@ -108,9 +104,9 @@ def main() -> int:
         workdir = Path(tmp)
         outputs = []
         for command in SYNTHESIZE + REGULARIZE:
-            outputs += run(command, args.threads, workdir)
+            outputs += run(command, workdir)
         for clones in GM_INFO_CLONES:
-            outputs += run(f"gm-info --clones {clones}", args.threads, workdir, mps_out=True)
+            outputs += run(f"gm-info --clones {clones}", workdir, mps_out=True)
     for clones in range(2, 9):
         outputs.append((f"regularization_scan rows, compress-scan plan, M={clones}, seed 1",
                         scan_rows(clones)))
