@@ -19,7 +19,6 @@ from .compression import (
     METHOD_SVD,
     METHOD_VARIATIONAL,
     METHOD_VARIATIONAL_SEEDED,
-    fidelity,
     regularization_scan,
     svd_truncate_mps,
     variational_compress,
@@ -30,15 +29,9 @@ from .errors import (
     ResourceLimitError,
     StructureError,
 )
-from .linalg import (
-    SVDResult,
-    complete_to_unitary,
-    svd,
-    truncate_rank,
-)
+from .linalg import SVDResult, svd
 from .mps import (
     MatrixProductState,
-    extract_isometries,
     from_statevector,
     overlap,
     to_statevector,

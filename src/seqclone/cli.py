@@ -258,16 +258,17 @@ def _cmd_gm_info(args) -> int:
     if args.mps_out and len(clones_list) > 1:
         raise ConfigError("mps-out: holds one chain, so it needs exactly one clone count")
     qubit = _parse_input_qubit(args.input_qubit)
-    rows = []
     for m in clones_list:
         if m < 1:
             raise ConfigError(f"clones: must be >= 1, got {m}")
-        spec = GMSpec(m, qubit)
-        chain = gm_mps(spec)
-        if args.mps_out:
-            _write_output(mps_mod.to_json(chain) + "\n", args.mps_out)
+    # every chain first: a clone count over the limit stops the run before any fidelity
+    chains = [gm_mps(GMSpec(m, qubit)) for m in clones_list]
+    if args.mps_out:
+        _write_output(mps_mod.to_json(chains[0]) + "\n", args.mps_out)
+    rows = []
+    for m, chain in zip(clones_list, chains):
 
-        def add(record, index, value, n=spec.qubits, m=m):
+        def add(record, index, value, n=chain.n_qubits, m=m):
             rows.append({
                 "experiment": "gm-info", "n": n, "M": m,
                 "record": record, "index": index, "value": value,

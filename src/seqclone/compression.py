@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg, mps as mps_mod
 from .cloning import GMSpec, gm_mps
-from .errors import StructureError, check_fidelity
+from .errors import check_fidelity
 from .mps import MatrixProductState
 
 METHOD_SVD = "svd_truncation"
@@ -52,17 +52,6 @@ class FidelityReport:
     def error(self) -> float:
         """``1 - fidelity``."""
         return 1.0 - self.fidelity
-
-
-def fidelity(a: MatrixProductState, b: MatrixProductState) -> float:
-    """``|<a|b>|`` for two normalized states; phase-insensitive."""
-    if a.n_qubits != b.n_qubits:
-        raise StructureError(f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}")
-    for name, m in (("a", a), ("b", b)):
-        nrm = mps_mod.norm(m)
-        if not abs(nrm - 1.0) <= 1e-10:  # also rejects NaN and inf
-            raise ValueError(f"argument {name} must be normalized, got norm {nrm!r}")
-    return min(abs(mps_mod.overlap(a, b)), 1.0)
 
 
 def svd_truncate_mps(

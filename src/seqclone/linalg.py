@@ -44,14 +44,11 @@ class SVDResult(NamedTuple):
     singulars: np.ndarray
     right: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.left * self.singulars) @ self.right.conj().T
 
-
-def _as_matrix(a: np.ndarray, name: str = "a") -> np.ndarray:
+def _as_matrix(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.size == 0:
-        raise ValueError(f"{name} must be a nonempty 2-d array, got shape {a.shape}")
+        raise ValueError(f"a must be a nonempty 2-d array, got shape {a.shape}")
     return a
 
 
@@ -135,47 +132,3 @@ def qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = a.shape[1]
     tau, work = np.empty(n, np.complex128), np.empty(3 * n, np.complex128)
     return _householder(a.T.copy(), tau, work, with_r=True)  # the copy: LAPACK's layout
-
-
-def truncate_rank(a: np.ndarray, k: int) -> np.ndarray:
-    """Best Frobenius-norm rank-``k`` approximation of ``a``.
-
-    Keeps the ``k`` largest singular triplets and discards the rest; the
-    discarded Frobenius error is ``sqrt(sum of squared dropped singulars)``.
-
-    Raises:
-        ValueError: ``k`` outside ``[1, min(a.shape)]``.
-    """
-    a = _as_matrix(a)
-    min_dim = min(a.shape)
-    if not 1 <= k <= min_dim:
-        raise ValueError(f"rank cap must be in [1, {min_dim}], got {k}")
-    u, s, v = svd(a)
-    return (u[:, :k] * s[:k]) @ v[:, :k].conj().T
-
-
-def complete_to_unitary(iso: np.ndarray) -> np.ndarray:
-    """Extend a matrix with orthonormal columns to a square unitary.
-
-    The first ``iso.shape[1]`` columns of the result are exactly ``iso``; the
-    remaining columns are an orthonormal basis of the orthogonal complement
-    of its column space (taken from the full SVD, hence deterministic up to
-    LAPACK).
-
-    Raises:
-        ValueError: more columns than rows, or columns not orthonormal
-            within 1e-10.
-    """
-    iso = _as_matrix(iso, "iso")
-    rows, cols = iso.shape
-    if cols > rows:
-        raise ValueError(f"isometry cannot be wider than tall, got shape {iso.shape}")
-    gram_defect = float(np.max(np.abs(iso.conj().T @ iso - np.eye(cols))))
-    if gram_defect > 1e-10:
-        raise ValueError(
-            f"columns are not orthonormal: max Gram defect {gram_defect:.3e}"
-        )
-    if cols == rows:
-        return iso.copy()
-    u_full, _, _ = np.linalg.svd(iso, full_matrices=True)
-    return np.hstack([iso, u_full[:, cols:]])

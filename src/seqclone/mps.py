@@ -220,38 +220,6 @@ def norm(m: MatrixProductState) -> float:
     return float(np.sqrt(abs(overlap(m, m))))
 
 
-def extract_isometries(m: MatrixProductState) -> list[np.ndarray]:
-    """Step unitaries that generate the state sequentially.
-
-    Requires a left-orthonormal chain.  With ``D`` the maximal bond
-    dimension, every returned matrix is a ``2D x 2D`` unitary on the
-    (ancilla, qubit) pair with the ancilla index first; column ``2a`` (the
-    input ``|a> (x) |0>``) of step ``k`` holds the stacked pair of site
-    matrices, zero-padded to the common ancilla dimension, and the remaining
-    columns are an arbitrary orthonormal completion.
-
-    The list is ordered by application: the first entry generates the least
-    significant qubit (the last stored site).  Applying all steps to
-    ``|0> (x) |0...0>`` leaves the register in the dense state and the
-    ancilla decoupled in ``|0>``.
-    """
-    m.require_canonical("sequential extraction")
-    dim = m.max_bond
-    unitaries = []
-    for t in reversed(m.sites):
-        left, right = t.shape[1], t.shape[2]
-        stacked = np.zeros((2 * dim, right), dtype=np.complex128)
-        stacked[: 2 * left] = t.transpose(1, 0, 2).reshape(2 * left, right)
-        full = linalg.complete_to_unitary(stacked)
-        inputs = np.zeros(2 * dim, dtype=bool)
-        inputs[: 2 * right : 2] = True
-        step = np.zeros((2 * dim, 2 * dim), dtype=np.complex128)
-        step[:, inputs] = full[:, :right]
-        step[:, ~inputs] = full[:, right:]
-        unitaries.append(step)
-    return unitaries
-
-
 # --- JSON serialization (schema "seqclone.mps/1") ---------------------------
 #
 # Complex arrays are flattened in row-major order into alternating

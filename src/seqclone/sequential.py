@@ -35,11 +35,13 @@ couplings:
   through :func:`zyz_angles`; fixed Kronecker points, not random draws,
   serve as fallback starts.  The step residuals certify the result: near
   0, the schedule prepares the bond-2 optimum.
-* **By global search**, the fallback when a residual stays above 1e-12 and
-  the only route with rotations off: one L-BFGS run on all parameters per
-  random restart, on the exact gradient from two transfer passes, so a
-  cost-and-gradient evaluation costs ``O(n D^2)`` for a target of bond
-  ``D`` (see :class:`_CostEngine`).
+* **By global search**, the fallback when a residual stays above 1e-12:
+  one L-BFGS run on all parameters per random restart, on the exact
+  gradient from two transfer passes, so a cost-and-gradient evaluation
+  costs ``O(n D^2)`` for a target of bond ``D`` (see :class:`_CostEngine`).
+
+With rotations off nothing is searched: XXZ conserves the excitation
+number, so every schedule leaves ``|0...0>``.
 
 Both use :mod:`seqclone.lbfgs`, the unbounded case of L-BFGS-B, and one
 kernel, :func:`_step_columns`: since each qubit enters in ``|0>``, it builds
@@ -414,19 +416,19 @@ def _descend(engine: _CostEngine, params, max_sweeps, sweep_tol, inner_maxfev):
 
 
 def _random_starts(engine: _CostEngine, restarts, seed):
-    """Flat starting parameters of ``restarts`` runs, one per child seed of ``seed``.
+    """Flat starting parameters of ``restarts`` aux-on runs, one per child
+    seed of ``seed``.
 
-    Each step's row is drawn uniformly from ``[-pi, pi)``; with ``aux`` its
-    six angles are then redrawn from ``[0, 2 pi)``.
+    Each step's row of 8 is drawn uniformly from ``[-pi, pi)``; its six
+    angles are then redrawn from ``[0, 2 pi)``.
     """
     starts = []
     for child in np.random.SeedSequence(seed).spawn(restarts):
         rng = np.random.default_rng(child)
-        rows = np.zeros((engine.n, engine.block_size))
+        rows = np.zeros((engine.n, 8))
         for row in rows:
-            row[:] = rng.uniform(-np.pi, np.pi, size=engine.block_size)
-            if engine.aux:
-                row[2:] = rng.uniform(0.0, 2.0 * np.pi, size=6)
+            row[:] = rng.uniform(-np.pi, np.pi, size=8)
+            row[2:] = rng.uniform(0.0, 2.0 * np.pi, size=6)
         starts.append(rows.reshape(-1))
     return starts
 
@@ -687,17 +689,17 @@ def optimize_schedule(
     ``converged`` True, ``iterations`` the L-BFGS iterations of all step
     fits and ``cost_history`` its cost alone.
 
-    Otherwise, and always without ``aux``, the global search runs: one
-    L-BFGS run (:func:`seqclone.lbfgs.minimize`) on all parameters (every
-    step's couplings, plus its ancilla and qubit rotation angles when
-    ``aux``) on the exact gradient of the cost ``2 (1 - F)``, from
-    ``restarts`` random starting points (child seeds spawned from ``seed``)
-    and, with ``aux``, once more from the constructed schedule, so the
-    result is never worse than the random restarts alone.  The best run is
-    returned; its ``cost_history`` holds the starting cost and the cost
-    after each iteration, and ``iterations`` counts its iterations.  The
-    keywords, which govern this search alone, keep the names of the block
-    sweeps it replaced and map onto L-BFGS as:
+    Otherwise the global search runs: one L-BFGS run
+    (:func:`seqclone.lbfgs.minimize`) on all parameters (every step's
+    couplings and its ancilla and qubit rotation angles) on the exact
+    gradient of the cost ``2 (1 - F)``, from ``restarts`` random starting
+    points (child seeds spawned from ``seed``) and once more from the
+    constructed schedule, so the result is never worse than the random
+    restarts alone.  The best run is returned; its ``cost_history`` holds
+    the starting cost and the cost after each iteration, and
+    ``iterations`` counts its iterations.  The keywords, which govern this
+    search alone, keep the names of the block sweeps it replaced and map
+    onto L-BFGS as:
 
     * ``2 n max_sweeps inner_maxfev`` cost-and-gradient evaluations, the
       budget the sweeps had, is ``maxfun``;
@@ -709,10 +711,14 @@ def optimize_schedule(
       (:data:`seqclone.lbfgs.GTOL`).
 
     ``converged`` is then False when the best run stopped on its budget or
-    never left its start: a flat cost (XXZ without ``aux`` conserves the
-    excitation number, so it never leaves ``|0...0>``) says nothing about
-    an optimum.  ``generated`` is the joint chain of
+    never left its start.  ``generated`` is the joint chain of
     :func:`sequential_generate`.
+
+    Without ``aux`` nothing is searched: XXZ conserves the excitation
+    number, so every schedule leaves ``|0...0>`` and ``F`` is
+    ``|<0...0|target>|``.  The all-zero schedule is returned with
+    ``iterations`` 0 and ``converged`` False, since a flat cost says
+    nothing about an optimum.
 
     The schedule has no closing ancilla rotation: it would be cost-neutral,
     since the free final ancilla state is optimized in closed form.
@@ -734,12 +740,12 @@ def optimize_schedule(
         raise ValueError(f"sweep_tol must be finite and >= 0, got {sweep_tol!r}")
 
     engine = _CostEngine(target, aux)
-    constructed, residuals = [], None
-    if aux:
-        schedule, residuals, iterations = schedule_from_chain(_bond_two_chain(target), seed)
-        constructed = [_params(schedule).reshape(-1)]
-        if residuals.max() <= _STEP_TOL:
-            return _result(engine, constructed[0], None, iterations, True, residuals)
-    starts = _random_starts(engine, restarts, seed) + constructed
+    if not aux:  # every schedule leaves |0...0>: nothing to search
+        return _result(engine, np.zeros(engine.param_count()), None, 0, False)
+    schedule, residuals, iterations = schedule_from_chain(_bond_two_chain(target), seed)
+    constructed = _params(schedule).reshape(-1)
+    if residuals.max() <= _STEP_TOL:
+        return _result(engine, constructed, None, iterations, True, residuals)
+    starts = _random_starts(engine, restarts, seed) + [constructed]
     params, history, converged = _restarts(engine, starts, max_sweeps, sweep_tol, inner_maxfev)
     return _result(engine, params, history, len(history) - 1, converged, residuals)

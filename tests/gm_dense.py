@@ -1,9 +1,13 @@
-"""Dense reference construction of the cloner output, for tests only.
+"""Dense reference constructions, for tests only.
 
-Sums ``np.kron`` products over every arrangement of the symmetrized clone
-and anticlone blocks, so it shares no code with the counter chain that
-``seqclone.cloning`` builds the state from.  Costs ``O(2^n)`` per term; use
-it for ``n <= 15``.
+The cloner output sums ``np.kron`` products over every arrangement of the
+symmetrized clone and anticlone blocks, so it shares no code with the
+counter chain that ``seqclone.cloning`` builds the state from.  Costs
+``O(2^n)`` per term; use it for ``n <= 15``.
+
+The sequential step unitaries of a canonical chain, and the joint state
+they prepare, check that a chain of bond ``D`` is what a ``D``-level
+ancilla emits (Schoen et al., PRL 95, 110503 (2005)).
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from functools import reduce
 import numpy as np
 
 from seqclone.cloning import KET_ONE, KET_ZERO, GMSpec, PureQubit, gm_coefficients
+from seqclone.mps import MatrixProductState
 
 _NORM_TOL = 1e-12
 
@@ -82,3 +87,45 @@ def dense_clone_fidelity(spec: GMSpec, clone_index: int) -> float:
     rho = reduced_qubit_density(dense_gm_state(spec), clone_index - 1, spec.qubits)
     psi = spec.input.vector
     return float(np.real(np.vdot(psi, rho @ psi)))
+
+
+def extract_step_unitaries(chain: MatrixProductState) -> list[np.ndarray]:
+    """Step unitaries that generate a canonical ``chain`` sequentially.
+
+    Each is a ``2D x 2D`` unitary on the (ancilla, qubit) pair, ancilla
+    index first, with ``D`` the chain's largest bond.  Column ``2a`` (the
+    input ``|a> (x) |0>``) of a step holds the stacked pair of site
+    matrices, zero-padded to ``D``; a complete QR fills the other columns
+    with an orthonormal basis of the rest.  The list is ordered by
+    application: the first entry emits the last stored site.
+    """
+    chain.require_canonical("sequential extraction")
+    dim = chain.max_bond
+    unitaries = []
+    for t in reversed(chain.sites):
+        left, right = t.shape[1:]
+        stacked = np.zeros((2 * dim, right), dtype=np.complex128)
+        stacked[: 2 * left] = t.transpose(1, 0, 2).reshape(2 * left, right)
+        inputs = np.zeros(2 * dim, dtype=bool)
+        inputs[: 2 * right : 2] = True
+        step = np.empty((2 * dim, 2 * dim), dtype=np.complex128)
+        step[:, inputs] = stacked
+        step[:, ~inputs] = np.linalg.qr(stacked, mode="complete")[0][:, right:]
+        unitaries.append(step)
+    return unitaries
+
+
+def apply_step_unitaries(unitaries, n, dim):
+    """Run the step unitaries on ``|0> (x) |0...0>``.
+
+    Step ``k`` (1-based, first list entry) acts on the ancilla and qubit
+    ``k`` (bit ``k - 1``); returns the joint ``(dim, 2**n)`` array.
+    """
+    joint = np.zeros((dim, 2**n), dtype=np.complex128)
+    joint[0, 0] = 1.0
+    for k, u in enumerate(unitaries, start=1):
+        hi, lo = 2 ** (n - k), 2 ** (k - 1)
+        t = joint.reshape(dim, hi, 2, lo)
+        g = u.reshape(dim, 2, dim, 2)
+        joint = np.einsum("aibj,bhjl->ahil", g, t).reshape(dim, 2**n)
+    return joint

@@ -36,11 +36,11 @@ from seqclone.compression import (
     METHOD_VARIATIONAL_SEEDED,
     compress,
 )
-from seqclone.linalg import truncate_rank
-from seqclone.mps import extract_isometries, from_statevector
+from seqclone.mps import from_statevector
 from seqclone.cli import main as cli_main
 
-from test_mps import apply_step_unitaries
+from gm_dense import apply_step_unitaries, extract_step_unitaries
+from test_linalg import truncate_rank
 
 
 def random_qubit(rng):
@@ -301,7 +301,7 @@ def test_acceptance_10_sequential_isometries():
     start = time.perf_counter()
     target = gm_state(GMSpec(2, KET_PLUS))
     chain = from_statevector(target, 1e-10)
-    unitaries = extract_isometries(chain)
+    unitaries = extract_step_unitaries(chain)
     joint = apply_step_unitaries(unitaries, 3, chain.max_bond)
     overlap_vec = joint @ target.conj()
     fidelity = float(np.linalg.norm(overlap_vec))

@@ -92,6 +92,16 @@ class TestGmInfo:
         assert code == 3
         assert "clones" in err
 
+    @pytest.mark.parametrize("clones, code", [("50,51", 3), ("3,0", 2)])
+    def test_every_clone_count_checked_before_any_fidelity(
+        self, tmp_path, monkeypatch, clones, code
+    ):
+        calls = count_calls(monkeypatch, cli, "clone_fidelities")
+        out = tmp_path / "x.csv"
+        assert run_cli(["gm-info", "--clones", clones, "-o", str(out)])[0] == code
+        assert calls == []
+        assert not out.exists()
+
     def test_fifty_clones(self, tmp_path):
         out = tmp_path / "info.csv"
         code, _ = run_cli(["gm-info", "--clones", "50", "-o", str(out)])

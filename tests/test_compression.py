@@ -11,12 +11,11 @@ from seqclone.compression import (
     METHOD_VARIATIONAL_SEEDED,
     _random_trial,
     compress,
-    fidelity,
     regularization_scan,
     svd_truncate_mps,
     variational_compress,
 )
-from seqclone.errors import CanonicalFormError, ResourceLimitError, StructureError
+from seqclone.errors import CanonicalFormError, ResourceLimitError
 from seqclone.mps import MatrixProductState, from_statevector, overlap, to_statevector
 
 
@@ -39,46 +38,6 @@ def schmidt_weight_bound(v, n, cap):
         s = np.linalg.svd(v.reshape(2**cut, -1), compute_uv=False)
         worst = min(worst, float(np.sum(s[:cap] ** 2)))
     return float(np.sqrt(worst))
-
-
-class TestFidelity:
-    def test_self(self):
-        rng = np.random.default_rng(0)
-        m = from_statevector(random_state(rng, 4))
-        assert abs(fidelity(m, m) - 1.0) < 1e-12
-
-    def test_orthogonal(self):
-        a = from_statevector(np.array([1, 0], dtype=complex))
-        b = from_statevector(np.array([0, 1], dtype=complex))
-        assert fidelity(a, b) < 1e-14
-
-    def test_global_phase_invariance(self):
-        rng = np.random.default_rng(1)
-        v = random_state(rng, 5)
-        a = from_statevector(v)
-        b = from_statevector(np.exp(0.73j) * v)
-        assert abs(fidelity(a, b) - 1.0) < 1e-10
-
-    def test_rejects_mismatched_lengths(self):
-        rng = np.random.default_rng(2)
-        with pytest.raises(StructureError):
-            fidelity(
-                from_statevector(random_state(rng, 3)),
-                from_statevector(random_state(rng, 4)),
-            )
-
-    def test_rejects_unnormalized(self):
-        rng = np.random.default_rng(3)
-        m = from_statevector(random_state(rng, 3))
-        bad = m.copy()
-        bad.sites[0] = bad.sites[0] * 2.0
-        with pytest.raises(ValueError, match="normalized"):
-            fidelity(m, bad)
-
-    def test_rejects_non_finite(self):
-        # a NaN norm must fail the check; a clamp to 1 would hide it as F = 1
-        with pytest.raises(ValueError, match="normalized"):
-            fidelity(gm_mps(GMSpec(3)), nan_chain())
 
 
 class TestSvdTruncate:

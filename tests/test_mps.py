@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import seqclone
 from seqclone.cloning import GMSpec, KET_PLUS, gm_chain, gm_mps, gm_state
 from seqclone.compression import svd_truncate_mps
 from seqclone.errors import CanonicalFormError, StructureError
 from seqclone.mps import (
     MatrixProductState,
     _encode_array,
-    extract_isometries,
     from_json,
     from_statevector,
     norm,
@@ -23,26 +23,12 @@ from seqclone.mps import (
 )
 from seqclone.sequential import optimize_schedule
 
+from gm_dense import apply_step_unitaries, extract_step_unitaries
+
 
 def random_state(rng, n):
     v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     return v / np.linalg.norm(v)
-
-
-def apply_step_unitaries(unitaries, n, dim):
-    """Oracle: run the extracted step unitaries on ``|0> (x) |0...0>``.
-
-    Step ``k`` (1-based, first list entry) acts on the ancilla and qubit
-    ``k`` (bit ``k - 1``); returns the joint ``(dim, 2**n)`` array.
-    """
-    joint = np.zeros((dim, 2**n), dtype=np.complex128)
-    joint[0, 0] = 1.0
-    for k, u in enumerate(unitaries, start=1):
-        hi, lo = 2 ** (n - k), 2 ** (k - 1)
-        t = joint.reshape(dim, hi, 2, lo)
-        g = u.reshape(dim, 2, dim, 2)
-        joint = np.einsum("aibj,bhjl->ahil", g, t).reshape(dim, 2**n)
-    return joint
 
 
 class TestFromStatevector:
@@ -89,7 +75,6 @@ class TestFromStatevector:
         m = from_statevector(v * scale)
         assert m.canonical
         assert np.max(np.abs(to_statevector(m) - v)) < 1e-14
-        extract_isometries(m)
         svd_truncate_mps(m, 2)
 
     def test_rejects_unnormalized(self):
@@ -256,11 +241,13 @@ class TestProperties:
 
 
 class TestExtractIsometries:
+    """The test-side step extraction of ``gm_dense`` that acceptance 10 runs."""
+
     def test_product_state_keeps_ancilla_trivial(self):
         v = np.zeros(8)
         v[0b101] = 1.0
         m = from_statevector(v)
-        unitaries = extract_isometries(m)
+        unitaries = extract_step_unitaries(m)
         assert all(u.shape == (2, 2) for u in unitaries)
         joint = apply_step_unitaries(unitaries, 3, 1)
         fid = abs(np.vdot(np.kron([1.0], v), joint.reshape(-1)))
@@ -269,7 +256,7 @@ class TestExtractIsometries:
     def test_bell_state_sequence(self):
         bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
         m = from_statevector(bell)
-        unitaries = extract_isometries(m)
+        unitaries = extract_step_unitaries(m)
         joint = apply_step_unitaries(unitaries, 2, m.max_bond)
         w = joint @ bell.conj()
         assert np.linalg.norm(w) > 1 - 1e-10
@@ -280,7 +267,7 @@ class TestExtractIsometries:
     def test_cloner_state_end_to_end(self):
         target = gm_state(GMSpec(2, KET_PLUS))
         m = from_statevector(target, 1e-10)
-        unitaries = extract_isometries(m)
+        unitaries = extract_step_unitaries(m)
         dim = m.max_bond
         for u in unitaries:
             assert u.shape == (2 * dim, 2 * dim)
@@ -293,7 +280,7 @@ class TestExtractIsometries:
         rng = np.random.default_rng(9)
         v = random_state(rng, 5)
         m = from_statevector(v)
-        joint = apply_step_unitaries(extract_isometries(m), 5, m.max_bond)
+        joint = apply_step_unitaries(extract_step_unitaries(m), 5, m.max_bond)
         assert np.linalg.norm(joint @ v.conj()) > 1 - 1e-10
 
     def test_rejects_non_canonical(self):
@@ -301,15 +288,32 @@ class TestExtractIsometries:
         m = from_statevector(random_state(rng, 4))
         m.sites[1] = m.sites[1] * 2.0
         with pytest.raises(CanonicalFormError, match=r"defect 3\.0e\+00 > 1e-10"):
-            extract_isometries(m)
+            extract_step_unitaries(m)
 
     def test_synthesized_chain_regenerates(self):
         # a synthesized joint chain is canonical by construction: its sites
         # are columns of unitaries
         gen = optimize_schedule(gm_chain(GMSpec(2)), 3, aux=True, restarts=1, seed=3).generated
-        joint = apply_step_unitaries(extract_isometries(gen), 4, gen.max_bond)
+        assert gen.canonical
+        joint = apply_step_unitaries(extract_step_unitaries(gen), 4, gen.max_bond)
         assert np.max(np.abs(joint[0] - to_statevector(gen))) <= 1e-12
         assert np.max(np.abs(joint[1])) <= 1e-12
+
+
+def test_dense_helpers_are_gone():
+    # the general step extraction and the dense helpers only tests used
+    # live on as test oracles (gm_dense.extract_step_unitaries,
+    # test_linalg.truncate_rank)
+    removed = {
+        seqclone: ("extract_isometries", "complete_to_unitary", "truncate_rank", "fidelity"),
+        seqclone.linalg: ("complete_to_unitary", "truncate_rank"),
+        seqclone.mps: ("extract_isometries",),
+        seqclone.compression: ("fidelity",),
+        seqclone.linalg.SVDResult: ("reconstruct",),
+    }
+    present = [f"{owner.__name__}.{name}" for owner, names in removed.items()
+               for name in names if hasattr(owner, name)]
+    assert present == []
 
 
 class TestJsonRoundtrip:

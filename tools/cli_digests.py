@@ -15,8 +15,9 @@ gate is one command run in its checkout against the parent's listing.
 Covered:
 
 * the byte-identity CLI list: both ``synthesize`` commands, ``regularize``
-  at M = 2..8 with caps 2-4 and all three methods at ``--seed 1``, and
-  ``gm-info --mps-out`` for M = 1..8 (its table and its chain);
+  at M = 2..8 with caps 2-4 and all three methods at ``--seed 1``,
+  ``gm-info --mps-out`` for M = 1..8 (its table and its chain), and the
+  multi-count table ``gm-info --clones 2,3``;
 * the same ``regularize`` and ``gm-info`` runs at M = 50;
 * the ``regularization_scan`` reports of the ``compress-scan`` plan at
   seed 1 (M = 2..8: caps 2-4 by truncation and seeded sweeping, caps 2-3 by
@@ -56,6 +57,8 @@ REGULARIZE = [
     for clones in ("2,3,4,5,6,7,8", "50")
 ]
 GM_INFO_CLONES = [*range(1, 9), 50]
+# several clone counts in one table; --mps-out takes only one, so none here
+GM_INFO_TABLES = ["gm-info --clones 2,3"]
 
 COMPRESS_PLAN = [
     ([2, 3, 4], [compression.METHOD_SVD, compression.METHOD_VARIATIONAL_SEEDED]),
@@ -103,7 +106,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         outputs = []
-        for command in SYNTHESIZE + REGULARIZE:
+        for command in SYNTHESIZE + REGULARIZE + GM_INFO_TABLES:
             outputs += run(command, workdir)
         for clones in GM_INFO_CLONES:
             outputs += run(f"gm-info --clones {clones}", workdir, mps_out=True)
