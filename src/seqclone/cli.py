@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 
@@ -211,8 +212,8 @@ def _cmd_regularize(args) -> int:
             raise ConfigError(f"bond-caps: must be >= 1, got {cap}")
     if args.max_sweeps < 1:
         raise ConfigError(f"max-sweeps: must be >= 1, got {args.max_sweeps}")
-    if not args.tol > 0:
-        raise ConfigError(f"tol: must be positive, got {args.tol!r}")
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ConfigError(f"tol: must be finite and positive, got {args.tol!r}")
     if args.seed < 0:  # numpy's generators take no negative seed
         raise ConfigError(f"seed: must be >= 0, got {args.seed}")
     # every chain first: a clone count over the limit stops the run before any compression
@@ -230,13 +231,11 @@ def _cmd_regularize(args) -> int:
 
 def _cmd_synthesize(args) -> int:
     qubit_list = _parse_int_list(args.qubits, "qubits")
-    if args.aux not in ("on", "off"):
-        raise ConfigError(f"aux: expected on/off, got {args.aux!r}")
     if args.restarts < 1:
         raise ConfigError(f"restarts: must be >= 1, got {args.restarts}")
     if args.max_sweeps < 1:
         raise ConfigError(f"max-sweeps: must be >= 1, got {args.max_sweeps}")
-    if args.seed < 0:  # numpy's generators take no negative seed
+    if args.seed < 0:  # seeds count the Kronecker starts from 0
         raise ConfigError(f"seed: must be >= 0, got {args.seed}")
     qubit = _parse_input_qubit(args.input_qubit)
     for n in qubit_list:

@@ -16,6 +16,7 @@ global phases on either argument.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -236,8 +237,8 @@ def variational_compress(
         raise ValueError(f"bond cap must be >= 1, got {bond_cap}")
     if max_sweeps < 1:
         raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
-    if not convergence_tol > 0:
-        raise ValueError("convergence_tol must be positive")
+    if not (math.isfinite(convergence_tol) and convergence_tol > 0.0):
+        raise ValueError(f"convergence_tol must be finite and positive, got {convergence_tol!r}")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     if method == METHOD_SVD:

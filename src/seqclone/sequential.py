@@ -32,13 +32,15 @@ couplings:
   run, and the best gauge, a closed-form 2x2 polar factor, carries on to
   the next site (:func:`schedule_from_chain`).  Each fit starts where the
   previous one ended, its ancilla rotation re-expressed for the new gauge
-  through :func:`zyz_angles`; fixed Kronecker points, not random draws,
-  serve as fallback starts.  The step residuals certify the result: near
+  through :func:`zyz_angles`.  The step residuals certify the result: near
   0, the schedule prepares the bond-2 optimum.
 * **By global search**, the fallback when a residual stays above 1e-12:
-  one L-BFGS run on all parameters per random restart, on the exact
-  gradient from two transfer passes, so a cost-and-gradient evaluation
-  costs ``O(n D^2)`` for a target of bond ``D`` (see :class:`_CostEngine`).
+  one L-BFGS run on all parameters per restart, on the exact gradient
+  from two transfer passes, so a cost-and-gradient evaluation costs
+  ``O(n D^2)`` for a target of bond ``D`` (see :class:`_CostEngine`).
+
+Both routes take their fallback starts from one deterministic Kronecker
+sequence (:func:`_kronecker_start`), never from a random generator.
 
 With rotations off nothing is searched: XXZ conserves the excitation
 number, so every schedule leaves ``|0...0>``.
@@ -397,50 +399,26 @@ class _CostEngine:
         return 2.0 * (1.0 - f), (-2.0 / f) * grad.reshape(-1)
 
 
-def _descend(engine: _CostEngine, params, max_sweeps, sweep_tol, inner_maxfev):
-    """One L-BFGS run on all parameters; returns (params, history, converged).
-
-    ``converged`` is False when the run spent its budget or never left its
-    start.  The budget binds the run's cost-and-gradient evaluations:
-    ``maxfun`` is ``2 n max_sweeps inner_maxfev``.  ``history`` holds the
-    starting cost and the cost after each iteration, as the optimizer
-    reports them.  The run goes through the module attribute ``minimize``,
-    where tests and tracers patch it.
-    """
-    history = []
-    res = minimize(
-        engine.cost_and_grad, params, ftol=sweep_tol,
-        maxfun=2 * engine.n * max_sweeps * inner_maxfev, callback=history.append,
-    )
-    return res.x, history, res.status != 1 and res.nit > 0
-
-
-def _random_starts(engine: _CostEngine, restarts, seed):
-    """Flat starting parameters of ``restarts`` aux-on runs, one per child
-    seed of ``seed``.
-
-    Each step's row of 8 is drawn uniformly from ``[-pi, pi)``; its six
-    angles are then redrawn from ``[0, 2 pi)``.
-    """
-    starts = []
-    for child in np.random.SeedSequence(seed).spawn(restarts):
-        rng = np.random.default_rng(child)
-        rows = np.zeros((engine.n, 8))
-        for row in rows:
-            row[:] = rng.uniform(-np.pi, np.pi, size=8)
-            row[2:] = rng.uniform(0.0, 2.0 * np.pi, size=6)
-        starts.append(rows.reshape(-1))
-    return starts
-
-
 def _restarts(engine: _CostEngine, starts, max_sweeps, sweep_tol, inner_maxfev):
-    """``(params, history, converged)`` of the best :func:`_descend` run
-    over ``starts``; on a tie the earlier run stays."""
+    """One L-BFGS run on all parameters from each of ``starts``; returns
+    ``(params, history, converged)`` of the best run, the earlier on a tie.
+
+    Each run goes through the module attribute ``minimize``, where tests and
+    tracers patch it; its budget binds the cost-and-gradient evaluations,
+    ``maxfun`` being ``2 n max_sweeps inner_maxfev``.  ``history`` holds the
+    starting cost and the cost after each iteration, as the optimizer
+    reports them, and ``converged`` is False when the run spent its budget
+    or never left its start.
+    """
     best = None
     for params in starts:
-        run = _descend(engine, params, max_sweeps, sweep_tol, inner_maxfev)
-        if best is None or run[1][-1] < best[1][-1]:
-            best = run
+        history = []
+        res = minimize(
+            engine.cost_and_grad, params, ftol=sweep_tol,
+            maxfun=2 * engine.n * max_sweeps * inner_maxfev, callback=history.append,
+        )
+        if best is None or history[-1] < best[1][-1]:
+            best = res.x, history, res.status != 1 and res.nit > 0
     return best
 
 
@@ -553,15 +531,18 @@ def _kronecker_increments(dim):
 _KRONECKER = _kronecker_increments(8)
 
 
-def _fallback_start(seed, k):
-    """Start ``k`` of a step fit's fallback runs under ``seed``: point
-    ``m = 20 seed + k + 1`` of the Kronecker sequence ``frac(1/2 + m alpha)``
-    over the 8 parameters, the couplings scaled to ``[-pi, pi)`` and the
-    angles to ``[0, 2 pi)``.  Integer steps keep every seed exact, and no
-    random generator is needed."""
-    m = seed * _STEP_STARTS + k + 1
-    u = np.array([((1 << 63) + m * a) % (1 << 64) for a in _KRONECKER]) / 2.0**64
-    return 2.0 * np.pi * u - np.pi * (np.arange(8) < 2)
+def _kronecker_start(m, rows=1):
+    """Point ``m`` of the Kronecker sequence ``frac(1/2 + m alpha)`` as
+    ``rows`` flat parameter rows of 8, each row's couplings scaled to
+    ``[-pi, pi)`` and its six angles to ``[0, 2 pi)``; ``alpha`` holds the
+    increments in ``8 rows`` dimensions.  A step fit's fallback run ``k``
+    under ``seed`` takes ``m = 20 seed + k + 1`` on one row, and the global
+    search's restart ``r`` takes ``m = seed restarts + r + 1`` over all its
+    rows.  Integer steps keep every point exact, and no random generator is
+    needed."""
+    alpha = _KRONECKER if rows == 1 else _kronecker_increments(8 * rows)
+    u = np.array([((1 << 63) + m * a) % (1 << 64) for a in alpha]) / 2.0**64
+    return (2.0 * np.pi * u.reshape(rows, 8) - np.pi * (np.arange(8) < 2)).reshape(-1)
 
 
 def _warm_start(row, gauge_before, gauge_after):
@@ -593,13 +574,13 @@ def fit_step(v, ancilla_in, start=None, seed=0):
     when one is given.  Fallback runs follow, up to 20 runs in all, only
     while no run has ended at a residual of at most 1e-12; they start from
     deterministic points of a Kronecker sequence offset by ``seed``
-    (:func:`_fallback_start`).  The best run is returned, and
+    (:func:`_kronecker_start`).  The best run is returned, and
     ``iterations`` counts the iterations of all runs.
     """
     cost = _StepCost(np.asarray(v, dtype=np.complex128), ancilla_in)
     best, iterations = None, 0
     for k in range(_STEP_STARTS) if start is None else range(-1, _STEP_STARTS - 1):
-        x0 = start if k < 0 else _fallback_start(seed, k)
+        x0 = start if k < 0 else _kronecker_start(seed * _STEP_STARTS + k + 1)
         res = minimize(cost, x0, ftol=0.0, maxfun=_STEP_MAXFUN, callback=_fit_done)
         iterations += res.nit
         if best is None or res.fun < best.fun:
@@ -692,14 +673,15 @@ def optimize_schedule(
     Otherwise the global search runs: one L-BFGS run
     (:func:`seqclone.lbfgs.minimize`) on all parameters (every step's
     couplings and its ancilla and qubit rotation angles) on the exact
-    gradient of the cost ``2 (1 - F)``, from ``restarts`` random starting
-    points (child seeds spawned from ``seed``) and once more from the
-    constructed schedule, so the result is never worse than the random
-    restarts alone.  The best run is returned; its ``cost_history`` holds
-    the starting cost and the cost after each iteration, and
-    ``iterations`` counts its iterations.  The keywords, which govern this
-    search alone, keep the names of the block sweeps it replaced and map
-    onto L-BFGS as:
+    gradient of the cost ``2 (1 - F)``, from ``restarts`` deterministic
+    starting points (restart ``r`` takes point ``seed restarts + r + 1`` of
+    the Kronecker sequence of :func:`_kronecker_start`) and once more from
+    the constructed schedule, so the result is never worse than the other
+    restarts alone.  The best run is returned, the earlier on a tie; its
+    ``cost_history`` holds the starting cost and the cost after each
+    iteration, and ``iterations`` counts its iterations.  The keywords,
+    which govern this search alone, keep the names of the block sweeps it
+    replaced and map onto L-BFGS as:
 
     * ``2 n max_sweeps inner_maxfev`` cost-and-gradient evaluations, the
       budget the sweeps had, is ``maxfun``;
@@ -746,6 +728,7 @@ def optimize_schedule(
     constructed = _params(schedule).reshape(-1)
     if residuals.max() <= _STEP_TOL:
         return _result(engine, constructed, None, iterations, True, residuals)
-    starts = _random_starts(engine, restarts, seed) + [constructed]
+    starts = [_kronecker_start(seed * restarts + r + 1, n) for r in range(restarts)]
+    starts.append(constructed)
     params, history, converged = _restarts(engine, starts, max_sweeps, sweep_tol, inner_maxfev)
     return _result(engine, params, history, len(history) - 1, converged, residuals)

@@ -14,7 +14,6 @@ kept exactly as pinned and fail honestly; each failure message carries the
 measured optimum (which saturates the ceiling) alongside the bound.
 """
 
-import concurrent.futures
 import csv
 import time
 
@@ -38,6 +37,7 @@ from seqclone.compression import (
 )
 from seqclone.mps import from_statevector
 from seqclone.cli import main as cli_main
+from seqclone.sequential import optimize_schedule
 
 from gm_dense import apply_step_unitaries, extract_step_unitaries
 from test_linalg import truncate_rank
@@ -220,8 +220,6 @@ def test_acceptance_07_method_ordering():
 
 
 def _synthesis_task(args):
-    from seqclone.sequential import optimize_schedule
-
     n, aux, seed = args
     target = gm_state(GMSpec((n + 1) // 2, KET_PLUS))
     result = optimize_schedule(
@@ -236,8 +234,7 @@ def test_acceptance_08_restricted_synthesis():
     seeds = (0, 1, 2)
     tasks = [(n, True, s) for n in (3, 5, 7) for s in seeds]
     tasks += [(3, False, s) for s in seeds]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
-        outcomes = list(pool.map(_synthesis_task, tasks))
+    outcomes = [_synthesis_task(task) for task in tasks]
     best = {}
     for n, aux, _, err in outcomes:
         key = (n, aux)

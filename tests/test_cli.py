@@ -223,7 +223,7 @@ class TestRegularize:
     @pytest.mark.parametrize(
         "flag, value",
         [("--max-sweeps", "0"), ("--max-sweeps", "-3"), ("--tol", "0"), ("--tol", "nan"),
-         ("--tol", "-0.5")],
+         ("--tol", "-0.5"), ("--tol", "inf")],
     )
     def test_rejects_invalid_sweep_settings(self, tmp_path, flag, value):
         code, err = run_cli([
@@ -277,6 +277,14 @@ class TestSynthesize:
         ])
         assert code == 2
         assert err == "error: seed: must be >= 0, got -1\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_rejects_unknown_aux(self, tmp_path, capsys):
+        # argparse's choices reject it before the command runs
+        with pytest.raises(SystemExit) as exc:
+            main(["synthesize", "--qubits", "3", "--aux", "maybe", "-o", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "--aux" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_rejects_even_register(self, tmp_path):
@@ -445,12 +453,14 @@ def test_console_entry_point():
 # Runs in a fresh interpreter, so nothing the test session imported counts.
 _IMPORT_PROBE = """
 import json, sys
+import numpy as np
 import seqclone
 from seqclone import cli
 from seqclone.cloning import GMSpec, gm_chain
+from seqclone.mps import MatrixProductState, norm
 
 def watched_modules():
-    # scipy, and numpy.random: only the global search's restarts draw numbers;
+    # scipy, and numpy.random: only unseeded sweeping draws numbers;
     # concurrent and multiprocessing: every command runs in this one process
     return sorted(m for m in sys.modules
                   if m.split(".")[0] in ("scipy", "concurrent", "multiprocessing")
@@ -471,8 +481,17 @@ res = seqclone.optimize_schedule(
     gm_chain(GMSpec(2)), 3, aux=True, restarts=1, seed=1, max_sweeps=1, inner_maxfev=20
 )
 loaded["optimize_schedule"] = watched_modules()
+# a fixed chain out of the class's reach, so the global search runs
+grid = [np.arange(1.0, 1.0 + 2 * l * r).reshape(2, l, r) for l, r in ((1, 2), (2, 2), (2, 1))]
+sites = [np.exp(1j * g ** 1.5) / (g + k) for k, g in enumerate(grid)]
+sites[0] = sites[0] / norm(MatrixProductState(sites=sites))
+searched = seqclone.optimize_schedule(
+    MatrixProductState(sites=sites), 3, aux=True, restarts=1, seed=0, max_sweeps=1, inner_maxfev=20
+)
+loaded["global search"] = watched_modules()
 print(json.dumps({"codes": codes, "loaded": loaded, "fidelity": res.fidelity,
-                  "residual": float(res.step_residuals.max())}))
+                  "residual": float(res.step_residuals.max()),
+                  "searched_residual": float(searched.step_residuals.max())}))
 """
 
 
@@ -490,3 +509,4 @@ def test_no_scipy_module_loads(tmp_path):
         assert modules == [], f"{stage} loaded {modules}"
     assert 0.0 < probe["fidelity"] <= 1.0
     assert probe["residual"] <= 1e-12  # certified: the global search never ran
+    assert probe["searched_residual"] > 1e-12  # uncertified: the global search ran

@@ -200,8 +200,9 @@ class TestVariationalCompress:
             compress(m, 0, METHOD_VARIATIONAL_SEEDED)
         with pytest.raises(ValueError):
             compress(m, 1, METHOD_VARIATIONAL_SEEDED, max_sweeps=0)
-        with pytest.raises(ValueError):
-            variational_compress(m, 1, convergence_tol=0.0)
+        for tol in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="convergence_tol"):
+                variational_compress(m, 1, convergence_tol=tol)
         with pytest.raises(ValueError):
             compress(m, 1, "bogus")
         with pytest.raises(ValueError):

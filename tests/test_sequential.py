@@ -35,8 +35,9 @@ from seqclone.sequential import (
     _SWEEP_TOL,
     _XXZ_TERMS,
     _chain_sites,
+    _kronecker_increments,
+    _kronecker_start,
     _polar,
-    _random_starts,
     _restarts,
     _result,
     _step_columns,
@@ -51,15 +52,21 @@ def random_state(rng, n):
     return v / np.linalg.norm(v)
 
 
+def global_starts(n, restarts, seed):
+    """The global search's starts: restart ``r`` takes Kronecker point
+    ``seed restarts + r + 1`` over the ``n`` rows."""
+    return [_kronecker_start(seed * restarts + r + 1, n) for r in range(restarts)]
+
+
 def descend(target, n, restarts, seed, max_sweeps=_MAX_SWEEPS, sweep_tol=_SWEEP_TOL,
             inner_maxfev=_INNER_MAXFEV):
-    """The aux-on global search alone: ``optimize_schedule``'s random restarts
-    through ``_descend``, without the constructive route."""
+    """The aux-on global search alone: ``optimize_schedule``'s Kronecker
+    restarts through ``_restarts``, without the constructive route."""
     if not isinstance(target, MatrixProductState):
         target = from_statevector(target)
     engine = _CostEngine(target, True)
     assert engine.n == n
-    starts = _random_starts(engine, restarts, seed)
+    starts = global_starts(n, restarts, seed)
     params, history, converged = _restarts(engine, starts, max_sweeps, sweep_tol, inner_maxfev)
     return _result(engine, params, history, len(history) - 1, converged)
 
@@ -633,6 +640,28 @@ class TestConstructive:
             old, new = _step_columns(row, before), _step_columns(warm, after)
             assert TestEuler.phase_gap(new, old) <= 1e-15
 
+    def test_one_deterministic_start_sequence(self, monkeypatch):
+        # the step fits' fallback rows keep the one-row formula bit for bit
+        alpha = _kronecker_increments(8)
+        for m in [20 * seed + k + 1 for seed in (0, 1, 7) for k in range(20)]:
+            u = np.array([((1 << 63) + m * a) % (1 << 64) for a in alpha]) / 2.0**64
+            assert np.array_equal(_kronecker_start(m), 2.0 * np.pi * u - np.pi * (np.arange(8) < 2))
+        # the global starts draw nothing, repeat exactly, differ across
+        # restarts, seeds and rows, and keep couplings in [-pi, pi) and
+        # angles in [0, 2 pi)
+        monkeypatch.setattr(np.random, "default_rng", None)
+        monkeypatch.setattr(np.random, "SeedSequence", None)
+        for n in (1, 3, 5):
+            for restarts in (1, 4):
+                points = [global_starts(n, restarts, seed) for seed in range(3)]
+                for seed, drawn in enumerate(points):
+                    again = global_starts(n, restarts, seed)
+                    assert all(np.array_equal(p, q) for p, q in zip(drawn, again))
+                rows = np.array(points).reshape(-1, 8)
+                assert len({tuple(row) for row in rows}) == len(rows) == 3 * restarts * n
+                assert np.all((-np.pi <= rows[:, :2]) & (rows[:, :2] < np.pi))
+                assert np.all((0.0 <= rows[:, 2:]) & (rows[:, 2:] < 2.0 * np.pi))
+
     def test_fit_starts_from_the_given_row(self, monkeypatch):
         # a start at the answer ends at once; without one the fit takes its
         # seed's deterministic fallback starts, and no generator is used
@@ -690,7 +719,7 @@ class TestConstructive:
 
     def test_random_target_falls_back_and_is_never_worse(self, monkeypatch):
         # a random complex bond-2 chain is out of the class's reach: the
-        # constructed schedule joins the random restarts as one more start
+        # constructed schedule joins the Kronecker restarts as one more start
         target = from_statevector(random_state(np.random.default_rng(54), 3))
         budget = dict(max_sweeps=2, inner_maxfev=50)
         restarts_alone = descend(target, 3, restarts=2, seed=4, **budget)
@@ -705,9 +734,8 @@ class TestConstructive:
         res = optimize_schedule(target, 3, aux=True, restarts=2, seed=4, **budget)
         assert res.step_residuals.max() > _STEP_TOL
         assert len(starts) == 3
-        engine = _CostEngine(target, True)
-        for drawn, start in zip(_random_starts(engine, 2, 4), starts):
-            assert np.array_equal(drawn, start)
+        for point, start in zip(global_starts(3, 2, 4), starts):
+            assert np.array_equal(point, start)
         assert 1.0 - res.fidelity <= 1.0 - restarts_alone.fidelity
         assert res.iterations == len(res.cost_history) - 1
 

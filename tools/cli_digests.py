@@ -21,7 +21,11 @@ Covered:
 * the same ``regularize`` and ``gm-info`` runs at M = 50;
 * the ``regularization_scan`` reports of the ``compress-scan`` plan at
   seed 1 (M = 2..8: caps 2-4 by truncation and seeded sweeping, caps 2-3 by
-  unseeded sweeping), floats written as ``float.hex``.
+  unseeded sweeping), floats written as ``float.hex``;
+* the global search of ``optimize_schedule`` (aux on, 2 restarts, seeds 0
+  and 1) on two fixed random chains of 3 and 5 qubits that the restricted
+  class cannot reach: fidelity, iterations, convergence flag and worst
+  step residual, floats as ``float.hex``.
 
 BLAS runs on one thread, as in the benchmark.  A listing takes about 5 s
 on one core.
@@ -43,8 +47,11 @@ from pathlib import Path  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from seqclone import cli, compression  # noqa: E402
+import numpy as np  # noqa: E402
+
+from seqclone import cli, compression, mps  # noqa: E402
 from seqclone.cloning import GMSpec  # noqa: E402
+from seqclone.sequential import optimize_schedule  # noqa: E402
 
 ALL_METHODS = "svd,variational,variational-unseeded"
 
@@ -96,6 +103,27 @@ def scan_rows(clones: int) -> bytes:
     return "\n".join(lines).encode()
 
 
+def search_targets() -> dict[int, mps.MatrixProductState]:
+    """Random complex chains of full bond, normalized, one per register size."""
+    rng = np.random.default_rng(0)
+    targets = {}
+    for n in (3, 5):
+        bonds = [min(2**k, 2 ** (n - k)) for k in range(n + 1)]
+        sites = [rng.standard_normal((2, left, right)) + 1j * rng.standard_normal((2, left, right))
+                 for left, right in zip(bonds, bonds[1:])]
+        sites[0] = sites[0] / mps.norm(mps.MatrixProductState(sites=sites))
+        targets[n] = mps.MatrixProductState(sites=sites)
+    return targets
+
+
+def search_row(target, n, seed) -> bytes:
+    res = optimize_schedule(target, n, aux=True, restarts=2, seed=seed)
+    residual = res.step_residuals.max()
+    if not residual > 1e-12:
+        raise SystemExit(f"n={n}, seed {seed}: certified (residual {residual:.1e}), no search ran")
+    return f"{res.fidelity.hex()} {res.iterations} {res.converged} {residual.hex()}".encode()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -113,6 +141,10 @@ def main() -> int:
     for clones in range(2, 9):
         outputs.append((f"regularization_scan rows, compress-scan plan, M={clones}, seed 1",
                         scan_rows(clones)))
+    for n, target in search_targets().items():
+        for seed in (0, 1):
+            outputs.append((f"optimize_schedule global search, n={n}, restarts 2, seed {seed}",
+                            search_row(target, n, seed)))
     listing = [f"{hashlib.sha256(data).hexdigest()}  {label}" for label, data in outputs]
     if args.check is None:
         print("\n".join(listing))
